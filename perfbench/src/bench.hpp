@@ -158,7 +158,8 @@ struct FleetConfig {
 struct OpsConfig {
   int n = 0;
   int waves = 25;    ///< length of the step stream, in waves
-  int networks = 3;  ///< independent networks the traffic runs use
+  int networks = 12;  ///< independent networks the static runs use
+  int churn_networks = 3;  ///< the first of them, used by the churn runs
   int flows = 64;
   int packets = 150;
   int interval = 1600;
@@ -259,11 +260,12 @@ class OpsPhase {
   bool churn_done() const {
     return slices_ == kReplicas * cfg_.waves;
   }
-  /// (b) one warm static traffic run, networks in turn.
+  /// (b) one static traffic run, networks in turn; the first round warms
+  /// the engines up and is not timed.
   void static_slice(Context& ctx);
   bool static_can_stop() const;
-  /// (c) one traffic run with churn on a fresh engine pair, networks in
-  /// turn.
+  /// (c) one traffic run with churn on a fresh engine pair, the first
+  /// `churn_networks` networks in turn.
   void churn_traffic_slice(Context& ctx);
   bool churn_traffic_can_stop() const;
   void finish(Context& ctx);
@@ -273,7 +275,7 @@ class OpsPhase {
   struct StepRecord {
     std::vector<sim::ChurnEvent> events;
     std::uint64_t report_hash = 0;
-    double best_ms = 1e300;  ///< fastest replica
+    std::vector<double> ms;  ///< one time per replica
     bool localized = false, reused = false;
     std::string escalation;  ///< empty when the step did not escalate
     int region = 0, planned = 0;
@@ -282,13 +284,18 @@ class OpsPhase {
   void next_events(std::vector<sim::ChurnEvent>& out);
 
   static constexpr int kReplicas = 3;    ///< engines running the stream
+  /// Timed runs per network, at least: static runs come after one
+  /// untimed warm-up run per network.
+  static constexpr int kMinStaticRuns = 2;
+  static constexpr int kMinChurnRuns = 3;
   static constexpr int kWaveEvery = 8;   ///< every 8th step is a wave
   static constexpr int kFailBatch = 4;   ///< nodes an ordinary step fails
   static constexpr int kWaveMoves = 8;   ///< alive nodes a wave moves
 
   OpsConfig cfg_;
   /// Independent networks for the traffic phases; the churn stream runs
-  /// on the first one's points.
+  /// on the first one's points.  Only the first `churn_networks` carry a
+  /// churn schedule.
   std::vector<std::unique_ptr<Network>> nets_;
   /// Identical engines fed the identical stream; replica 0 draws the
   /// events from its alive set, the others replay them later in the run.

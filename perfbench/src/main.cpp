@@ -37,8 +37,8 @@ Scenario make_scenario(const std::string& name, bool tiny) {
   Scenario s;
   s.name = name;
   // Companion sizes: the phases a workload is not built around run small.
-  // More instances than the home workloads hold, so a companion's figure
-  // does not hang on a single small input.
+  // Many inputs each, so a companion's figure does not hang on a single
+  // small input.
   s.plan = {2000, 1, {}};
   for (int i = 0; i < 4; ++i) {
     s.plan.dists.push_back(Distribution::kUniformSquare);
@@ -47,22 +47,24 @@ Scenario make_scenario(const std::string& name, bool tiny) {
   s.fleet = {2000, 4};
   s.ops = {};
   s.ops.n = 2000;
-  s.ops.networks = 6;
-  s.shares = {0.05, 0.05, 0.06, 0.05, 0.1};
+  s.ops.networks = 12;
+  s.ops.churn_networks = 6;
+  s.shares = {0.05, 0.05, 0.06, 0.1, 0.12};
   if (name == "plan_200k") {
     s.plan.n = 200000;
     s.plan.threads = 4;
     s.plan.dists = {Distribution::kUniformSquare, Distribution::kClusters};
-    s.shares.plan = 0.7;
+    s.shares.plan = 0.62;
   } else if (name == "fleet_2k") {
     s.fleet.per_dist = 8;
-    s.shares.fleet = 0.7;
+    s.shares.fleet = 0.62;
   } else if (name == "ops_10k") {
     s.ops.n = 10000;
-    s.ops.networks = 3;
-    s.shares.churn = 0.28;
-    s.shares.traffic_static = 0.17;
-    s.shares.traffic_churn = 0.45;
+    s.ops.networks = 12;
+    s.ops.churn_networks = 3;
+    s.shares.churn = 0.27;
+    s.shares.traffic_static = 0.3;
+    s.shares.traffic_churn = 0.33;
   } else {
     s.name.clear();
   }
@@ -72,6 +74,7 @@ Scenario make_scenario(const std::string& name, bool tiny) {
     s.ops.n = 400;
     s.ops.waves = 12;
     s.ops.networks = 2;
+    s.ops.churn_networks = 2;
     s.ops.flows = 8;
     s.ops.packets = 10;
     s.ops.interval = 120;
