@@ -182,13 +182,25 @@ struct Scenario {
   Shares shares;
 };
 
+/// The phases' output streams.  Slices interleave by timing, so each
+/// stream feeds its own digest; the printed digest combines them in this
+/// fixed order.
+enum Stream { kPlanOut, kFleetOut, kChurnOut, kStaticOut, kChurnTrafficOut,
+              kStreams };
+
 /// Everything a phase reports into.
 struct Context {
   bool trace = false;
   Metrics metrics;  ///< end-to-end (trace 0) or per-layer (trace 1)
   Ledger ledger;
-  Digest digest;
+  Digest digest[kStreams];
   double ops_ms = 0.0;  ///< wall time of the timed end-to-end operations
+
+  std::uint64_t combined_digest() const {
+    Digest all;
+    for (const Digest& d : digest) all.value(d.hash());
+    return all.hash();
+  }
 };
 
 // ---------------------------------------------------------------- phases

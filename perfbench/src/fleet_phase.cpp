@@ -78,8 +78,8 @@ void FleetPhase::round(Context& ctx) {
       for (const auto& it : items) {
         busy_ms_ += it.wall_ms;
         if (round_ == 0) {
-          ctx.digest.add(it.result.orientation);
-          ctx.digest.add(it.certificate);
+          ctx.digest[kFleetOut].add(it.result.orientation);
+          ctx.digest[kFleetOut].add(it.certificate);
         }
       }
       return all_certified(items);

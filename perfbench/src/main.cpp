@@ -221,7 +221,7 @@ int run(const Args& args) {
   for (const Slot& s : slots) std::printf(" %s=%.3f", s.name, s.used_ms / 1000.0);
   std::printf("\n");
   std::printf("digest: %016llx\n",
-              static_cast<unsigned long long>(ctx.digest.hash()));
+              static_cast<unsigned long long>(ctx.combined_digest()));
   const bool correct = ctx.ledger.failed() == 0;
   std::printf(
       "{\"correct\": %s, \"attempted\": %lld, \"failed\": %lld, "

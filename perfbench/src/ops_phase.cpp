@@ -166,7 +166,7 @@ void OpsPhase::churn_slice(Context& ctx) {
       d.add(*rep);
       if (r > 0) return d.hash() == rec.report_hash;  // replays match
       rec.report_hash = d.hash();
-      if (cycle < 2) ctx.digest.add(*rep);
+      if (cycle < 2) ctx.digest[kChurnOut].add(*rep);
       rec.localized = rep->localized_mst;
       rec.reused = rep->cert_reused;
       rec.escalation = rep->escalation ? rep->escalation : "";
@@ -205,7 +205,7 @@ void OpsPhase::static_slice(Context& ctx) {
         time_ms([&] { rep = &net.engine.run(net.flows, opts_); });
     ctx.ops_ms += ms;
     if (warm_up) {
-      ctx.digest.add(*rep);
+      ctx.digest[kStaticOut].add(*rep);
     } else {
       net.static_ms.push_back(ms);
     }
@@ -232,8 +232,8 @@ void OpsPhase::churn_traffic_slice(Context& ctx) {
     ctx.ops_ms += ms;
     net.churn_ms.push_back(ms);
     if (first) {
-      ctx.digest.add(*rep);
-      ctx.digest.add(churn.last_report());
+      ctx.digest[kChurnTrafficOut].add(*rep);
+      ctx.digest[kChurnTrafficOut].add(churn.last_report());
     }
     return traffic_balanced(*rep) && rep->offered == offered &&
            certificate_holds(churn.last_report().certificate);

@@ -242,8 +242,8 @@ void PlanPhase::slice(Context& ctx) {
     certify_ms = ms_since(b);
     orient_ms = std::chrono::duration<double, std::milli>(b - a).count();
     if (round_ == 0) {
-      ctx.digest.add(res.orientation);
-      ctx.digest.add(cert);
+      ctx.digest[kPlanOut].add(res.orientation);
+      ctx.digest[kPlanOut].add(cert);
     }
     return certificate_holds(cert);
   });
@@ -258,7 +258,7 @@ void PlanPhase::slice(Context& ctx) {
       const auto r = audit_.flood(static_cast<int>(
           static_cast<long long>(s) * n / kFloodSources));
       delivered = delivered && r.reached == n;
-      if (round_ == 0) ctx.digest.value(r.rounds);
+      if (round_ == 0) ctx.digest[kPlanOut].value(r.rounds);
     }
     const auto d = Clock::now();
     const auto f =
@@ -269,8 +269,8 @@ void PlanPhase::slice(Context& ctx) {
     flood_ms_.push_back(
         std::chrono::duration<double, std::milli>(d - c).count());
     if (round_ == 0) {
-      ctx.digest.value(f.mean_largest_scc);
-      ctx.digest.value(f.worst_largest_scc);
+      ctx.digest[kPlanOut].value(f.mean_largest_scc);
+      ctx.digest[kPlanOut].value(f.worst_largest_scc);
     }
     return sccs == 1 && delivered && f.trials == kFailureTrials;
   });
