@@ -11,30 +11,20 @@
 //     part of the recorded trajectory, not just a test assertion;
 //   * the sharded build at several thread counts (real ThreadPool workers)
 //     vs the serial build — bit-identical output, parallel wall clock;
-//   * SCC-only rows on a prebuilt digraph: serial Tarjan vs the FW–BW
-//     engine (graph/scc_parallel.hpp) inline and at each thread count.
-//     The FW–BW timings include its internal transpose build — the honest
-//     cost when no cached transpose is available (core::certify's shape);
-//     AuditSession amortizes that across a whole metric sweep.
-// Two more sweeps ride along:
-//   * audit_parallel — AuditSession's probe-parallel
-//     strong_connectivity_level and trial-parallel failure_resilience at
-//     several thread counts vs the serial session (bit-identical metrics,
-//     verified in-run);
-//   * classifier — the phase-2 SoA batch classifier vs the fused scalar
-//     oracle on the serial digraph build (bit-identical CSR, verified
-//     in-run).
-// Appends "certify" / "certify_parallel" / "scc" / "scc_parallel" /
-// "audit_parallel" / "classifier" sections to BENCH_scaling.json so the
-// speedups are part of the recorded perf trajectory.  Every parallel row
-// carries the box's hw_threads so a ~1x speedup on a 1-core machine is
-// never mistaken for a regression.
+//   * SCC-only rows on a prebuilt digraph: Tarjan alone.
+// One more sweep rides along:
+//   * audit_parallel — AuditSession's trial-parallel failure_resilience
+//     at several thread counts vs the serial session (bit-identical
+//     metrics, verified in-run).
+// Appends "certify" / "certify_parallel" / "scc" / "audit_parallel"
+// sections to BENCH_scaling.json so the speedups are part of the recorded
+// perf trajectory.  Every parallel row carries the box's hw_threads so a
+// ~1x speedup on a 1-core machine is never mistaken for a regression.
 //
 // Smoke mode (DIRANT_BENCH_SMOKE=1): tiny sizes so ctest can keep this
 // binary from bit-rotting without paying the full sweep.
-// DIRANT_X6_THREADS=t / DIRANT_X6_SCC_THREADS=t / DIRANT_X6_AUDIT_THREADS=t
-// add a shard count to the parallel sweeps (the
-// bench_smoke_x6_certify_parallel, bench_smoke_x6_scc and
+// DIRANT_X6_THREADS=t / DIRANT_X6_AUDIT_THREADS=t add a shard count to the
+// parallel sweeps (the bench_smoke_x6_certify_parallel and
 // bench_smoke_x6_audit ctest entries exercise the pooled paths with them).
 
 #include <algorithm>
@@ -60,7 +50,6 @@
 #include "common/constants.hpp"
 #include "core/planner.hpp"
 #include "graph/scc.hpp"
-#include "graph/scc_parallel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/audit.hpp"
 
@@ -337,32 +326,14 @@ struct ParallelRow {
 struct SccRow {
   int n = 0;
   double tarjan_ms = 0.0;
-  double fb_serial_ms = 0.0;  ///< FW–BW inline, incl. its transpose build
   int scc_count = 0;
-  double fb_vs_tarjan = 0.0;  ///< tarjan / fb_serial
-};
-
-struct SccParallelRow {
-  int n = 0;
-  int threads = 0;
-  double ms = 0.0;
-  double speedup_vs_tarjan = 0.0;
 };
 
 struct AuditRow {
   int n = 0;
   int threads = 0;          ///< 1 = the serial session baseline
-  double level_ms = 0.0;    ///< strong_connectivity_level (deletion probes)
   double failure_ms = 0.0;  ///< failure_resilience Monte-Carlo trials
-  double level_speedup = 0.0;    ///< serial level_ms / this level_ms
   double failure_speedup = 0.0;  ///< serial failure_ms / this failure_ms
-};
-
-struct ClassifierRow {
-  int n = 0;
-  double batch_ms = 0.0;   ///< SoA batch classifier (the default)
-  double scalar_ms = 0.0;  ///< fused scalar oracle
-  double speedup = 0.0;    ///< scalar / batch
 };
 
 /// Removes a previously spliced `"name": [...]` section (with its leading
@@ -380,15 +351,13 @@ void drop_section(std::string& existing, const std::string& name) {
   }
 }
 
-/// Splices the "certify", "certify_parallel", "scc", "scc_parallel",
-/// "audit_parallel" and "classifier" sections into BENCH_scaling.json next
-/// to the sections x3_scaling wrote (creates the file if x3 has not run).
+/// Splices the "certify", "certify_parallel", "scc" and "audit_parallel"
+/// sections into BENCH_scaling.json next to the sections x3_scaling wrote
+/// (creates the file if x3 has not run).
 void append_certify_json(const std::vector<CertifyRow>& rows,
                          const std::vector<ParallelRow>& par_rows,
                          const std::vector<SccRow>& scc_rows,
-                         const std::vector<SccParallelRow>& scc_par_rows,
                          const std::vector<AuditRow>& audit_rows,
-                         const std::vector<ClassifierRow>& cls_rows,
                          unsigned hw_threads) {
   std::string existing;
   {
@@ -403,10 +372,8 @@ void append_certify_json(const std::vector<CertifyRow>& rows,
   // "scc_count" fields inside certify rows); drop order is cosmetic.
   drop_section(existing, "certify_parallel");
   drop_section(existing, "certify");
-  drop_section(existing, "scc_parallel");
   drop_section(existing, "scc");
   drop_section(existing, "audit_parallel");
-  drop_section(existing, "classifier");
   std::ostringstream section;
   section << "  \"certify\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -436,41 +403,18 @@ void append_certify_json(const std::vector<CertifyRow>& rows,
   for (size_t i = 0; i < scc_rows.size(); ++i) {
     const auto& r = scc_rows[i];
     section << "    {\"n\": " << r.n << ", \"tarjan_ms\": " << r.tarjan_ms
-            << ", \"fb_serial_ms\": " << r.fb_serial_ms
-            << ", \"scc_count\": " << r.scc_count
-            << ", \"fb_vs_tarjan\": " << r.fb_vs_tarjan << "}"
+            << ", \"scc_count\": " << r.scc_count << "}"
             << (i + 1 < scc_rows.size() ? ",\n" : "\n");
-  }
-  section << "  ],\n";
-  section << "  \"scc_parallel\": [\n";
-  for (size_t i = 0; i < scc_par_rows.size(); ++i) {
-    const auto& r = scc_par_rows[i];
-    section << "    {\"n\": " << r.n << ", \"threads\": " << r.threads
-            << ", \"ms\": " << r.ms
-            << ", \"speedup_vs_tarjan\": " << r.speedup_vs_tarjan
-            << ", \"hw_threads\": " << hw_threads << "}"
-            << (i + 1 < scc_par_rows.size() ? ",\n" : "\n");
   }
   section << "  ],\n";
   section << "  \"audit_parallel\": [\n";
   for (size_t i = 0; i < audit_rows.size(); ++i) {
     const auto& r = audit_rows[i];
     section << "    {\"n\": " << r.n << ", \"threads\": " << r.threads
-            << ", \"level_ms\": " << r.level_ms
             << ", \"failure_ms\": " << r.failure_ms
-            << ", \"level_speedup\": " << r.level_speedup
             << ", \"failure_speedup\": " << r.failure_speedup
             << ", \"hw_threads\": " << hw_threads << "}"
             << (i + 1 < audit_rows.size() ? ",\n" : "\n");
-  }
-  section << "  ],\n";
-  section << "  \"classifier\": [\n";
-  for (size_t i = 0; i < cls_rows.size(); ++i) {
-    const auto& r = cls_rows[i];
-    section << "    {\"n\": " << r.n << ", \"batch_ms\": " << r.batch_ms
-            << ", \"scalar_ms\": " << r.scalar_ms
-            << ", \"speedup\": " << r.speedup << "}"
-            << (i + 1 < cls_rows.size() ? ",\n" : "\n");
   }
   section << "  ]\n";
 
@@ -490,8 +434,8 @@ void append_certify_json(const std::vector<CertifyRow>& rows,
     outf << "{\n" << section.str() << "}\n";
   }
   std::printf(
-      "appended certify + certify_parallel + scc + scc_parallel + "
-      "audit_parallel + classifier sections to BENCH_scaling.json\n");
+      "appended certify + certify_parallel + scc + audit_parallel sections "
+      "to BENCH_scaling.json\n");
 }
 
 DIRANT_REPORT(x6) {
@@ -515,10 +459,7 @@ DIRANT_REPORT(x6) {
   // Shard counts for the parallel rows; threads=1 is the serial bar above.
   std::vector<int> thread_set = smoke ? std::vector<int>{2}
                                       : std::vector<int>{2, 4};
-  // The knobs extend their own sweep only (the bench_smoke_x6_scc ctest
-  // entry exercises a pooled FW–BW path without re-running the sharded
-  // certify sweep at that count, and vice versa).
-  std::vector<int> scc_thread_set = thread_set;
+  // Each knob extends its own sweep only.
   const auto add_env_threads = [](const char* knob, std::vector<int>& set) {
     if (const char* env = std::getenv(knob)) {
       const int t = std::atoi(env);
@@ -528,19 +469,6 @@ DIRANT_REPORT(x6) {
     }
   };
   add_env_threads("DIRANT_X6_THREADS", thread_set);
-  add_env_threads("DIRANT_X6_SCC_THREADS", scc_thread_set);
-  // Pools are shared between the sweeps: one per distinct thread count.
-  std::vector<int> pool_threads = thread_set;
-  std::vector<size_t> scc_pool_idx;
-  for (const int t : scc_thread_set) {
-    auto it = std::find(pool_threads.begin(), pool_threads.end(), t);
-    if (it == pool_threads.end()) {
-      pool_threads.push_back(t);
-      it = pool_threads.end() - 1;
-    }
-    scc_pool_idx.push_back(
-        static_cast<size_t>(it - pool_threads.begin()));
-  }
   std::printf(
       "n        threads  csr-ms     fresh-ms   legacy-ms   vs-legacy  "
       "vs-fresh  scc\n");
@@ -556,13 +484,8 @@ DIRANT_REPORT(x6) {
   std::vector<antenna::TransmissionScratch> par_tx(thread_set.size());
   std::vector<CertifyRow> rows;
   std::vector<ParallelRow> par_rows;
-  // SCC-only scratches: one FW–BW scratch per variant so every row measures
-  // its warm steady state.
-  graph::ParSccScratch fb_serial;
-  std::vector<graph::ParSccScratch> fb_par(scc_thread_set.size());
   antenna::TransmissionScratch scc_tx;  ///< prebuilt-digraph buffers
   std::vector<SccRow> scc_rows;
-  std::vector<SccParallelRow> scc_par_rows;
   for (int n : sizes) {
     geom::Rng rng(61000 + n);
     const auto pts =
@@ -580,7 +503,7 @@ DIRANT_REPORT(x6) {
                                std::numeric_limits<double>::infinity());
     int legacy_count = -1;
     std::vector<std::unique_ptr<dirant::par::ThreadPool>> pools;
-    for (int t : pool_threads) {
+    for (int t : thread_set) {
       pools.push_back(std::make_unique<dirant::par::ThreadPool>(
           static_cast<unsigned>(t)));
     }
@@ -667,18 +590,12 @@ DIRANT_REPORT(x6) {
     }
     rows.push_back(row);
 
-    // ---- SCC-only rows: Tarjan vs FW–BW on the prebuilt digraph --------
+    // ---- SCC-only row: Tarjan on the prebuilt digraph ------------------
     // (isolates the decomposition from the digraph build the rows above
-    // already price).  The FW–BW timings include its internal transpose
-    // build — the cost the certify path pays when no cached transpose
-    // exists; AuditSession amortizes it across a whole metric sweep.
+    // already price).
     SccRow srow;
     srow.n = n;
     srow.tarjan_ms = std::numeric_limits<double>::infinity();
-    srow.fb_serial_ms = std::numeric_limits<double>::infinity();
-    std::vector<double> fb_ms(scc_thread_set.size(),
-                              std::numeric_limits<double>::infinity());
-    int fb_count = -1, fb_par_count = -1;
     graph::Digraph g = antenna::induced_digraph_fast(
         pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, scc_tx);
     for (int rep = 0; rep < reps; ++rep) {
@@ -687,55 +604,19 @@ DIRANT_REPORT(x6) {
                          benchmark::DoNotOptimize(c);
                          srow.scc_count = c;
                        }));
-      srow.fb_serial_ms =
-          std::min(srow.fb_serial_ms, time_ms([&] {
-                     fb_count =
-                         graph::parallel_scc_count(g, fb_serial, 1, nullptr);
-                     benchmark::DoNotOptimize(fb_count);
-                   }));
-      for (size_t ti = 0; ti < scc_thread_set.size(); ++ti) {
-        fb_ms[ti] = std::min(fb_ms[ti], time_ms([&] {
-                      fb_par_count = graph::parallel_scc_count(
-                          g, fb_par[ti], scc_thread_set[ti],
-                          pools[scc_pool_idx[ti]].get());
-                      benchmark::DoNotOptimize(fb_par_count);
-                    }));
-        if (fb_par_count != srow.scc_count) {
-          std::printf("WARNING: scc mismatch at n=%d (tarjan %d vs fb t=%d "
-                      "%d)\n",
-                      n, srow.scc_count, scc_thread_set[ti], fb_par_count);
-        }
-      }
-    }
-    if (fb_count != srow.scc_count) {
-      std::printf("WARNING: scc mismatch at n=%d (tarjan %d vs fb-serial %d)\n",
-                  n, srow.scc_count, fb_count);
     }
     std::move(g).release(scc_tx.offsets, scc_tx.targets);
-    srow.fb_vs_tarjan = srow.tarjan_ms / std::max(srow.fb_serial_ms, 1e-9);
-    std::printf(
-        "scc:     %-8d tarjan %8.2f   fb-serial %8.2f   (%5.2fx)   scc=%d\n",
-        n, srow.tarjan_ms, srow.fb_serial_ms, srow.fb_vs_tarjan,
-        srow.scc_count);
+    std::printf("scc:     %-8d tarjan %8.2f   scc=%d\n", n, srow.tarjan_ms,
+                srow.scc_count);
     scc_rows.push_back(srow);
-    for (size_t ti = 0; ti < scc_thread_set.size(); ++ti) {
-      SccParallelRow spr;
-      spr.n = n;
-      spr.threads = scc_thread_set[ti];
-      spr.ms = fb_ms[ti];
-      spr.speedup_vs_tarjan = srow.tarjan_ms / std::max(fb_ms[ti], 1e-9);
-      std::printf("scc:     %-8d fb(t=%d) %7.2f   %5.2fx vs tarjan\n", n,
-                  spr.threads, spr.ms, spr.speedup_vs_tarjan);
-      scc_par_rows.push_back(spr);
-    }
   }
-  // ---- Probe-parallel audits: AuditSession at several thread counts ----
+  // ---- Trial-parallel audits: AuditSession at several thread counts ----
   // The serial session (threads=1) is the baseline; pooled sessions fan the
-  // n deletion probes and the Monte-Carlo trials over real workers.  The
-  // metrics are bit-identical at every thread count (per-trial RNG streams,
-  // order-independent reductions) — verified in-run, not assumed.
-  section("X6 — probe-parallel audits: connectivity level + failure "
-          "resilience (audit_parallel)");
+  // Monte-Carlo trials over real workers.  The metrics are bit-identical at
+  // every thread count (per-trial RNG streams, in-order reduction) —
+  // verified in-run, not assumed.
+  section("X6 — trial-parallel audits: failure resilience "
+          "(audit_parallel)");
   std::vector<AuditRow> audit_rows;
   {
     std::vector<int> audit_threads = smoke ? std::vector<int>{2}
@@ -746,9 +627,8 @@ DIRANT_REPORT(x6) {
     const int trials = smoke ? 8 : 40;
     const double fraction = 0.1;
     const std::uint64_t audit_seed = 7;
-    std::printf("n       threads  level-ms   failure-ms  (hw=%u)\n",
-                hw_threads);
-    std::printf("-----------------------------------------------\n");
+    std::printf("n       threads  failure-ms  (hw=%u)\n", hw_threads);
+    std::printf("------------------------------------\n");
     for (int an : audit_sizes) {
       geom::Rng rng(67000 + an);
       const auto pts =
@@ -760,16 +640,9 @@ DIRANT_REPORT(x6) {
       AuditRow serial_row;
       serial_row.n = an;
       serial_row.threads = 1;
-      serial_row.level_ms = std::numeric_limits<double>::infinity();
       serial_row.failure_ms = std::numeric_limits<double>::infinity();
-      int serial_level = -1;
       double serial_mean = -1.0;
       for (int rep = 0; rep < reps; ++rep) {
-        serial_row.level_ms =
-            std::min(serial_row.level_ms, time_ms([&] {
-                       serial_level = session.strong_connectivity_level(2);
-                       benchmark::DoNotOptimize(serial_level);
-                     }));
         serial_row.failure_ms =
             std::min(serial_row.failure_ms, time_ms([&] {
                        const auto st = session.failure_resilience(
@@ -778,25 +651,17 @@ DIRANT_REPORT(x6) {
                        benchmark::DoNotOptimize(serial_mean);
                      }));
       }
-      serial_row.level_speedup = 1.0;
       serial_row.failure_speedup = 1.0;
-      std::printf("%-7d %-8d %8.2f   %9.2f\n", an, 1, serial_row.level_ms,
-                  serial_row.failure_ms);
+      std::printf("%-7d %-8d %9.2f\n", an, 1, serial_row.failure_ms);
       audit_rows.push_back(serial_row);
       for (int t : audit_threads) {
         session.set_threads(t);
         AuditRow row;
         row.n = an;
         row.threads = t;
-        row.level_ms = std::numeric_limits<double>::infinity();
         row.failure_ms = std::numeric_limits<double>::infinity();
-        int level = -1;
         double mean = -1.0;
         for (int rep = 0; rep < reps; ++rep) {
-          row.level_ms = std::min(row.level_ms, time_ms([&] {
-                           level = session.strong_connectivity_level(2);
-                           benchmark::DoNotOptimize(level);
-                         }));
           row.failure_ms =
               std::min(row.failure_ms, time_ms([&] {
                          const auto st = session.failure_resilience(
@@ -805,17 +670,14 @@ DIRANT_REPORT(x6) {
                          benchmark::DoNotOptimize(mean);
                        }));
         }
-        if (level != serial_level || mean != serial_mean) {
-          std::printf("WARNING: audit mismatch at n=%d t=%d (level %d vs "
-                      "%d, mean %.17g vs %.17g)\n",
-                      an, t, serial_level, level, serial_mean, mean);
+        if (mean != serial_mean) {
+          std::printf("WARNING: audit mismatch at n=%d t=%d (mean %.17g vs "
+                      "%.17g)\n",
+                      an, t, serial_mean, mean);
         }
-        row.level_speedup =
-            serial_row.level_ms / std::max(row.level_ms, 1e-9);
         row.failure_speedup =
             serial_row.failure_ms / std::max(row.failure_ms, 1e-9);
-        std::printf("%-7d %-8d %8.2f   %9.2f   (%4.2fx / %4.2fx)\n", an, t,
-                    row.level_ms, row.failure_ms, row.level_speedup,
+        std::printf("%-7d %-8d %9.2f   (%4.2fx)\n", an, t, row.failure_ms,
                     row.failure_speedup);
         audit_rows.push_back(row);
       }
@@ -823,80 +685,11 @@ DIRANT_REPORT(x6) {
     }
   }
 
-  // ---- Phase-2 classifier: SoA batch loop vs fused scalar oracle -------
-  // Serial digraph build, identical CSR (checked below); the rows price
-  // the autovectorized batch loop against the branchy scalar path.
-  section("X6 — phase-2 classifier: SoA batch vs fused scalar "
-          "(classifier)");
-  std::vector<ClassifierRow> cls_rows;
-  {
-    const std::vector<int> cls_sizes =
-        smoke ? std::vector<int>{500}
-              : std::vector<int>{10000, 50000, 200000};
-    antenna::TransmissionScratch batch_tx, scalar_tx;
-    batch_tx.classifier = antenna::TransmissionScratch::Classifier::kBatch;
-    scalar_tx.classifier = antenna::TransmissionScratch::Classifier::kScalar;
-    std::printf("n        batch-ms   scalar-ms  speedup\n");
-    std::printf("---------------------------------------\n");
-    for (int cn : cls_sizes) {
-      geom::Rng rng(71000 + cn);
-      const auto pts =
-          geom::make_instance(geom::Distribution::kUniformSquare, cn, rng);
-      const auto res = core::orient(pts, {2, kPi});
-      const auto& o = res.orientation;
-      // Bit-identity check before timing: same offsets, same targets.
-      {
-        const graph::Digraph gb = antenna::induced_digraph_fast(
-            pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, batch_tx);
-        const graph::Digraph gs = antenna::induced_digraph_fast(
-            pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, scalar_tx);
-        bool same = gb.edge_count() == gs.edge_count() &&
-                    gb.size() == gs.size();
-        for (int u = 0; same && u < gb.size(); ++u) {
-          const auto bu = gb.out(u), su = gs.out(u);
-          same = bu.size() == su.size() &&
-                 std::equal(bu.begin(), bu.end(), su.begin());
-        }
-        if (!same) {
-          std::printf("WARNING: classifier CSR mismatch at n=%d\n", cn);
-        }
-      }
-      ClassifierRow row;
-      row.n = cn;
-      row.batch_ms = std::numeric_limits<double>::infinity();
-      row.scalar_ms = std::numeric_limits<double>::infinity();
-      const int reps = smoke ? 3 : (cn <= 50000 ? 5 : 3);
-      for (int rep = 0; rep < reps; ++rep) {
-        row.batch_ms = std::min(row.batch_ms, time_ms([&] {
-                         graph::Digraph g = antenna::induced_digraph_fast(
-                             pts, o, dirant::kAngleTol,
-                             dirant::kRadiusAbsTol, batch_tx);
-                         benchmark::DoNotOptimize(g.edge_count());
-                         std::move(g).release(batch_tx.offsets,
-                                              batch_tx.targets);
-                       }));
-        row.scalar_ms = std::min(row.scalar_ms, time_ms([&] {
-                          graph::Digraph g = antenna::induced_digraph_fast(
-                              pts, o, dirant::kAngleTol,
-                              dirant::kRadiusAbsTol, scalar_tx);
-                          benchmark::DoNotOptimize(g.edge_count());
-                          std::move(g).release(scalar_tx.offsets,
-                                               scalar_tx.targets);
-                        }));
-      }
-      row.speedup = row.scalar_ms / std::max(row.batch_ms, 1e-9);
-      std::printf("%-8d %8.2f   %8.2f   %5.2fx\n", cn, row.batch_ms,
-                  row.scalar_ms, row.speedup);
-      cls_rows.push_back(row);
-    }
-  }
-
   if (smoke) {
     // Throwaway tiny-n numbers must never land in the recorded trajectory.
     std::printf("smoke mode: BENCH_scaling.json left untouched\n");
   } else {
-    append_certify_json(rows, par_rows, scc_rows, scc_par_rows, audit_rows,
-                        cls_rows, hw_threads);
+    append_certify_json(rows, par_rows, scc_rows, audit_rows, hw_threads);
   }
 }
 
@@ -933,24 +726,6 @@ void BM_scc_only_csr(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_scc_only_csr)
-    ->RangeMultiplier(4)
-    ->Range(1024, 65536)
-    ->Complexity();
-
-void BM_scc_fb_csr(benchmark::State& state) {
-  geom::Rng rng(63);  // same instances as BM_scc_only_csr for comparison
-  const auto pts = geom::make_instance(geom::Distribution::kUniformSquare,
-                                       static_cast<int>(state.range(0)), rng);
-  const auto res = core::orient(pts, {2, kPi});
-  const auto g = antenna::induced_digraph_fast(pts, res.orientation);
-  graph::ParSccScratch scratch;
-  for (auto _ : state) {
-    const int count = graph::parallel_scc_count(g, scratch, 1, nullptr);
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_scc_fb_csr)
     ->RangeMultiplier(4)
     ->Range(1024, 65536)
     ->Complexity();

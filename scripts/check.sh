@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Single verification entry point: build Release and a sanitized Debug
-# (-fsanitize=address,undefined) tree, run ctest in both.  This is the
-# command CI and pre-merge checks invoke; keep it green.
+# Single verification entry point: build Release, a sanitized Debug
+# (-fsanitize=address,undefined) tree and a ThreadSanitizer tree, run ctest
+# in each, then run the perfbench self-test.  This is the command CI and
+# pre-merge checks invoke; keep it green.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 
@@ -32,18 +33,20 @@ CTEST_EXTRA=("$@")
 # The Release variant builds the bench binaries, so its ctest run includes
 # the bench_smoke entries (x3_scaling + x6_certify + x7_churn at tiny n
 # with DIRANT_BENCH_SMOKE=1, plus the pooled sharded-certify and
-# parallel-SCC x6 paths) — benches can't silently bit-rot.  The sanitized Debug variant
-# skips benches for build time and runs its suite with
-# DIRANT_TEST_THREADS=4: the sharded digraph-build and parallel-SCC tests
-# then spin real 4-worker pools, so memory errors in the concurrent paths
-# surface under asan/ubsan.  The ThreadSanitizer variant (DIRANT_TSAN)
-# re-runs exactly the concurrency-heavy suites — parallel SCC, the sharded
-# certify build, the batch fan-out, the pool-parallel Borůvka EMST, the
-# probe/trial-parallel audits, and the churn engine's pooled
-# recertification (both churn suites, including the sub-linear warm-path
-# acceptance tests) — with the same 4-worker pools, so data races (not
-# just memory errors) surface too.  All variants promote
-# the library's -Wall -Wextra diagnostics to errors (DIRANT_WERROR).
+# trial-parallel audit x6 paths) — benches can't silently bit-rot.  The
+# sanitized Debug variant skips benches for build time and runs its suite
+# with DIRANT_TEST_THREADS=4: the sharded digraph-build tests then spin
+# real 4-worker pools, so memory errors in the concurrent paths surface
+# under asan/ubsan.  The ThreadSanitizer variant (DIRANT_TSAN) re-runs
+# exactly the concurrency-heavy suites — the sharded certify build, the
+# batch fan-out, the pool-parallel Borůvka EMST, the trial-parallel
+# audits, and the churn engine's pooled rebuild (both churn suites,
+# including the sub-linear warm-path acceptance tests) — with the same
+# 4-worker pools, so data races (not just memory errors) surface too.  All
+# variants promote the library's -Wall -Wextra diagnostics to errors
+# (DIRANT_WERROR).  The perfbench self-test runs last: the benchmark compiles
+# against the library's public headers, so an API change that breaks it
+# fails here rather than in the benchmark run.
 run_variant build-release "" -DCMAKE_BUILD_TYPE=Release -DDIRANT_WERROR=ON
 DIRANT_TEST_THREADS=4 \
 run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \
@@ -51,8 +54,11 @@ run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 DIRANT_TEST_THREADS=4 \
 run_variant build-tsan \
-    "test_parallel_scc|test_csr_equivalence|test_batch|test_boruvka|test_audit_parallel|test_churn|test_churn_sublinear|test_traffic|test_event_queue" \
+    "test_csr_equivalence|test_batch|test_boruvka|test_audit_parallel|test_churn|test_churn_sublinear|test_traffic|test_event_queue" \
     -DCMAKE_BUILD_TYPE=Debug -DDIRANT_TSAN=ON -DDIRANT_WERROR=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
+
+echo "==== perfbench self-test ===="
+CARGO_TARGET_DIR=build-perfbench python3 perfbench/tests/test_perfbench.py
 
 echo "==== all checks passed ===="

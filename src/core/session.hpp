@@ -141,9 +141,8 @@ class PlanSession {
   /// the transmission digraph; see core/validate.hpp).  Allocation-free in
   /// steady state via the session-owned CertifyScratch (grid index and CSR
   /// buffers recycled) when `threads() <= 1`; with `set_threads(t > 1)` the
-  /// digraph build shards over the session-owned pool AND the SCC pass runs
-  /// on the parallel FW–BW engine — identical certificate, parallel wall
-  /// clock.
+  /// digraph build shards over the session-owned pool — identical
+  /// certificate.  The SCC pass is Tarjan at every thread count.
   const Certificate& certify(std::span<const geom::Point> pts,
                              const ProblemSpec& spec);
 
@@ -160,13 +159,13 @@ class PlanSession {
   /// Session parallelism knob.  `threads <= 1` (the default) keeps the
   /// serial, zero-allocation paths; `threads > 1` spawns (or resizes) a
   /// session-owned thread pool of that many workers, shards the
-  /// certification digraph build across it, runs the SCC pass on the
-  /// parallel FW–BW engine, and routes `orient`'s EMST stage to the
-  /// pool-parallel Borůvka engine.  The knob never changes results — the
-  /// sharded CSR is bit-identical to the serial one, the SCC partition is
-  /// a graph property, and Borůvka accepts edges under the exact total
-  /// order Kruskal sorts by, so the EMST is the unique minimum tree under
-  /// that order at every thread count (mst/boruvka.hpp).
+  /// certification digraph build across it, and routes `orient`'s EMST
+  /// stage to the pool-parallel Borůvka engine.  Everything else (the
+  /// orienters, the SCC pass) stays serial.  The knob never changes
+  /// results — the sharded CSR is bit-identical to the serial one, and
+  /// Borůvka accepts edges under the exact total order Kruskal sorts by,
+  /// so the EMST is the unique minimum tree under that order at every
+  /// thread count (mst/boruvka.hpp).
   void set_threads(int threads);
   int threads() const { return threads_; }
 

@@ -2,7 +2,7 @@
 /// \file exact.hpp
 /// Sign-exact geometric predicates.
 ///
-/// Combinatorial structures (MST ties, Delaunay, hulls) must not flip on
+/// Combinatorial structures (MST ties, Delaunay) must not flip on
 /// rounding noise.  `orient2d_sign` is fully exact: a floating-point filter
 /// (Shewchuk's error bound) falls back to exact expansion arithmetic built on
 /// `std::fma`.  `incircle_sign` uses a double filter, then a `__float128`

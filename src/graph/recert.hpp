@@ -30,7 +30,7 @@
 ///
 /// When every orphan re-attaches, the two trees are a constructive witness
 /// that the digraph is strongly connected — the SCC count is 1 without
-/// running Tarjan/FW–BW, and the resulting core::Certificate is
+/// running Tarjan, and the resulting core::Certificate is
 /// bit-identical to the one the full pass would produce.  Any failure
 /// (budget, hub death, frontier too large, an orphan with no anchored
 /// parent) invalidates the cache and the caller falls back to the full SCC

@@ -1,7 +1,6 @@
 #include "sim/audit.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <random>
 
 #include "common/assert.hpp"
@@ -84,14 +83,7 @@ bool AuditSession::strongly_connected() {
   return graph::is_strongly_connected(g, transpose(), reach_);
 }
 
-int AuditSession::scc_count() {
-  const auto& g = digraph();
-  if (threads_ > 1) {
-    return graph::parallel_scc_count(g, par_scc_, threads_, pool_.get(),
-                                     &transpose());
-  }
-  return graph::scc_count(g, scc_);
-}
+int AuditSession::scc_count() { return graph::scc_count(digraph(), scc_); }
 
 BroadcastResult AuditSession::flood(int source) {
   return sim::flood(digraph(), source, dist_, bfs_);
@@ -135,52 +127,11 @@ int AuditSession::strong_connectivity_level(int max_level) {
   int level = 1;
   if (max_level >= 2) {
     bool survives_all = true;
-    if (threads_ > 1 && pool_ != nullptr) {
-      // Probe-parallel sweep: contiguous probe chunks claimed off the pool
-      // via the allocation-free run_job fan-out.  Each chunk owns its
-      // ReachScratch and deletion mask; the cached transpose is shared
-      // read-only.  The level is the AND of all probe outcomes — a set
-      // property — so chunking and scheduling cannot change it; the
-      // `failed` flag only lets chunks stop early once the answer is
-      // known.
-      const int chunks = threads_;
-      if (static_cast<int>(audit_workers_.size()) < chunks) {
-        audit_workers_.resize(chunks);
-      }
-      std::atomic<int> failed{0};
-      par::run_indexed(pool_.get(), chunks, [&](int ci) {
-        auto& w = audit_workers_[ci];
-        w.removed.assign(n, 0);
-        // Size the BFS scratch up front: the `failed` check below is
-        // timing-dependent, so a chunk may run zero probes on one sweep
-        // and some on the next — a probe must never be what first grows
-        // these buffers or warm sweeps stop being allocation-free.
-        w.reach.seen.reserve(n);
-        w.reach.stack.reserve(n);
-        const int lo = static_cast<int>(
-            static_cast<long long>(n) * ci / chunks);
-        const int hi = static_cast<int>(
-            static_cast<long long>(n) * (ci + 1) / chunks);
-        for (int v = lo; v < hi; ++v) {
-          if (failed.load(std::memory_order_relaxed)) return;
-          w.removed[v] = 1;
-          const bool ok =
-              graph::is_strongly_connected(g, gt, w.reach, w.removed.data());
-          w.removed[v] = 0;
-          if (!ok) {
-            failed.store(1, std::memory_order_relaxed);
-            return;
-          }
-        }
-      });
-      survives_all = failed.load(std::memory_order_relaxed) == 0;
-    } else {
-      for (int v = 0; v < n && survives_all; ++v) {
-        removed_[v] = 1;
-        survives_all =
-            graph::is_strongly_connected(g, gt, reach_, removed_.data());
-        removed_[v] = 0;
-      }
+    for (int v = 0; v < n && survives_all; ++v) {
+      removed_[v] = 1;
+      survives_all =
+          graph::is_strongly_connected(g, gt, reach_, removed_.data());
+      removed_[v] = 0;
     }
     if (!survives_all) return level;
     level = 2;

@@ -2,14 +2,13 @@
 /// \file audit.hpp
 /// AuditSession — the reusable network-analysis core.  One session owns the
 /// transmission digraph, its cached transpose, and every piece of metric
-/// working memory (BFS distance buffers, SCC scratch — serial Tarjan and
-/// the parallel FW–BW engine —, deletion-probe masks, the per-trial
-/// survivor-subgraph CSR arrays), so a warm session streams the whole
-/// metric set — flooding, hop stretch, k-level strong connectivity,
-/// failure resilience, routing stats, energy — off ONE digraph build and
-/// ONE transpose with zero steady-state heap allocations (enforced by
-/// tests/test_session_alloc.cpp, SecondAuditIsAllocationFree).  This
-/// extends to the analysis stack the discipline core::PlanSession
+/// working memory (BFS distance buffers, Tarjan scratch, deletion-probe
+/// masks, the per-trial survivor-subgraph CSR arrays), so a warm session
+/// streams the whole metric set — flooding, hop stretch, k-level strong
+/// connectivity, failure resilience, routing stats, energy — off ONE
+/// digraph build and ONE transpose with zero steady-state heap allocations
+/// (enforced by tests/test_session_alloc.cpp, SecondAuditIsAllocationFree).
+/// This extends to the analysis stack the discipline core::PlanSession
 /// established for planning: the Monte-Carlo connectivity audits the
 /// related work treats as the primary experiment (Damian–Flatland 2010,
 /// Georgiou–Nguyen 2015) rebuild nothing per trial.
@@ -40,7 +39,6 @@
 #include "antenna/transmission.hpp"
 #include "graph/digraph.hpp"
 #include "graph/scc.hpp"
-#include "graph/scc_parallel.hpp"
 #include "graph/traversal.hpp"
 #include "sim/broadcast.hpp"
 #include "sim/energy.hpp"
@@ -129,20 +127,16 @@ class AuditSession {
   /// transpose (allocation-free warm).
   bool strongly_connected();
 
-  /// SCC count: serial Tarjan, or the parallel FW–BW engine over the
-  /// session pool when `set_threads(t > 1)` — identical counts either way.
+  /// SCC count (Tarjan).
   int scc_count();
 
   BroadcastResult flood(int source);
   StretchResult hop_stretch(const graph::Digraph& omni,
                             int sample_sources = 8);
 
-  /// Deletion-probe connectivity depth.  The level-2 pass (n single-vertex
-  /// deletion probes, 2 BFS each) fans out over the session pool when
-  /// `threads() > 1`: contiguous probe chunks with per-chunk
-  /// ReachScratch + deletion mask, all sharing the one cached transpose.
-  /// The level is an AND over probe outcomes — order-independent — so the
-  /// result is identical at every thread count.
+  /// Deletion-probe connectivity depth: level 2 runs n single-vertex
+  /// deletion probes (2 BFS each) over the one cached transpose, stopping
+  /// at the first probe that disconnects the graph.
   int strong_connectivity_level(int max_level = 3);
 
   /// Monte-Carlo random-failure resilience.  Each trial draws its
@@ -170,9 +164,9 @@ class AuditSession {
 
   /// Audit parallelism knob (same contract as PlanSession::set_threads):
   /// `threads <= 1` keeps every path serial and allocation-free;
-  /// `threads > 1` spawns a session-owned pool, shards `load`'s digraph
-  /// build, and routes SCC passes through the parallel engine.  Results
-  /// never change — only wall clock.
+  /// `threads > 1` spawns a session-owned pool that shards `load`'s digraph
+  /// build and fans `failure_resilience` trials out in chunks.  Every
+  /// other metric stays serial.  Results never change — only wall clock.
   void set_threads(int threads);
   int threads() const { return threads_; }
 
@@ -189,20 +183,17 @@ class AuditSession {
   std::vector<int> dist_, dist_omni_;  ///< BFS distance buffers
   graph::ReachScratch reach_;          ///< deletion-probe reachability
   std::vector<char> removed_;          ///< deletion mask
-  graph::SccScratch scc_;              ///< serial Tarjan scratch
+  graph::SccScratch scc_;              ///< Tarjan scratch
   graph::SccResult scc_result_;
-  graph::ParSccScratch par_scc_;       ///< parallel FW–BW scratch
   // Failure-resilience per-trial buffers (survivor subgraph CSR recycled
   // through Digraph::release) — the serial (threads <= 1) path.
   std::vector<int> remap_, sub_offsets_, sub_targets_, sizes_;
 
-  /// Per-chunk working memory for the pooled audit fan-outs (deletion
-  /// probes, failure trials): one entry per reduction chunk (= the session
-  /// thread count), each with its own reachability scratch, deletion mask,
+  /// Per-chunk working memory for the pooled failure trials: one entry per
+  /// chunk (= the session thread count), each with its own deletion mask,
   /// Tarjan scratch and survivor-subgraph CSR arrays.  Warm after the
   /// first pooled audit, so repeated pooled sweeps allocate nothing.
   struct AuditWorker {
-    graph::ReachScratch reach;
     std::vector<char> removed;
     graph::SccScratch scc;
     graph::SccResult scc_result;

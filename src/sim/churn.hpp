@@ -27,8 +27,7 @@
 ///     the SCC count (a graph property) and hence the certificate match
 ///     exactly.  Escalates to the sharded full rebuild when the dirty
 ///     fraction crosses `ChurnOptions::dirty_threshold`.
-///   * Certificate: the SCC count (serial Tarjan, or the parallel FW–BW
-///     engine when `set_threads(t > 1)`) plugs into
+///   * Certificate: the SCC count (Tarjan) plugs into
 ///     core::make_certificate — the same arithmetic `certify` runs.
 ///
 /// Graceful degradation: before re-planning, each step audits the **frozen
@@ -43,9 +42,9 @@
 ///
 /// Determinism: event application, pool maintenance, escalation decisions,
 /// the dirty diff, and the frozen audit are all serial functions of the
-/// (seeded) event sequence; the thread-sensitive stages (sharded CSR build,
-/// parallel SCC) carry their own bit-identity contracts — so the whole
-/// StepReport is bit-identical at every thread count, under asan and tsan.
+/// (seeded) event sequence; the one thread-sensitive stage (the sharded CSR
+/// build) carries its own bit-identity contract — so the whole StepReport
+/// is bit-identical at every thread count, under asan and tsan.
 ///
 /// Reuse contract: construct once, `init` once, then `step` forever.  From
 /// the second step on, a steady-state batch (stable alive count) performs
@@ -194,8 +193,10 @@ class ChurnEngine {
   /// for.  See the file comment for the path selection rules.
   const StepReport& step(std::span<const ChurnEvent> events);
 
-  /// Parallelism for the full digraph rebuild and the SCC pass.  Results
-  /// never change (both stages carry bit-identity contracts); wall clock
+  /// Parallelism for the full digraph rebuild: `threads > 1` shards it over
+  /// an engine-owned pool.  Everything else a step does (re-plan, row
+  /// patch, SCC pass) stays serial.  Results never change
+  /// (the sharded CSR is bit-identical to the serial one); wall clock
   /// does.  The serial default keeps the zero-allocation steady state.
   void set_threads(int threads);
   int threads() const { return threads_; }

@@ -1,10 +1,9 @@
-// Probe-parallel audits: sim::AuditSession's strong_connectivity_level
-// (deletion probes fanned over the pool) and failure_resilience (Monte-Carlo
-// trials with per-trial RNG streams) must be BIT-IDENTICAL at every thread
-// count — same level, same mean/worst fractions to the last bit — because
-// probes reduce by AND and trial fractions are recorded by index and reduced
-// in trial order.  The sanitizer variants of scripts/check.sh run this suite
-// with DIRANT_TEST_THREADS=4 so the pooled fan-outs execute on real workers
+// Trial-parallel audits: sim::AuditSession's failure_resilience
+// (Monte-Carlo trials with per-trial RNG streams, fanned over the pool) must
+// be BIT-IDENTICAL at every thread count — same mean/worst fractions to the
+// last bit — because trial fractions are recorded by index and reduced in
+// trial order.  The sanitizer variants of scripts/check.sh run this suite
+// with DIRANT_TEST_THREADS=4 so the pooled fan-out executes on real workers
 // under asan and tsan.
 
 #include <gtest/gtest.h>
@@ -44,18 +43,17 @@ std::vector<Instance> audit_instances() {
   return out;
 }
 
-TEST(AuditParallel, ConnectivityLevelParityAcrossThreadCounts) {
+TEST(AuditParallel, ConnectivityLevelMatchesSerialAtFourThreads) {
+  // The deletion probes run serially at every thread count; a pooled
+  // session (whose load() shards the digraph build) must still agree.
   for (const auto& inst : audit_instances()) {
     sim::AuditSession serial;
     serial.load(inst.pts, inst.oriented.orientation);
-    const int ref = serial.strong_connectivity_level(3);
-    for (int t : thread_counts()) {
-      sim::AuditSession session;
-      session.set_threads(t);
-      session.load(inst.pts, inst.oriented.orientation);
-      EXPECT_EQ(session.strong_connectivity_level(3), ref)
-          << "threads=" << t;
-    }
+    sim::AuditSession pooled;
+    pooled.set_threads(4);
+    pooled.load(inst.pts, inst.oriented.orientation);
+    EXPECT_EQ(pooled.strong_connectivity_level(3),
+              serial.strong_connectivity_level(3));
   }
 }
 
@@ -133,17 +131,14 @@ TEST(AuditParallel, ThreadKnobRoundTripKeepsResults) {
   sim::AuditSession session;
   session.load(pts, res.orientation);
 
-  const int level = session.strong_connectivity_level(3);
   const auto fail = session.failure_resilience(0.1, 21, 7);
 
   session.set_threads(4);
-  EXPECT_EQ(session.strong_connectivity_level(3), level);
   const auto pooled = session.failure_resilience(0.1, 21, 7);
   EXPECT_EQ(pooled.mean_largest_scc, fail.mean_largest_scc);
   EXPECT_EQ(pooled.worst_largest_scc, fail.worst_largest_scc);
 
   session.set_threads(1);
-  EXPECT_EQ(session.strong_connectivity_level(3), level);
   const auto back = session.failure_resilience(0.1, 21, 7);
   EXPECT_EQ(back.mean_largest_scc, fail.mean_largest_scc);
   EXPECT_EQ(back.worst_largest_scc, fail.worst_largest_scc);
@@ -151,8 +146,8 @@ TEST(AuditParallel, ThreadKnobRoundTripKeepsResults) {
 
 TEST(AuditParallel, RepeatedPooledSweepsAreStable) {
   // Same pooled session, same inputs, repeated calls: recycled AuditWorker
-  // scratch (masks, reach buffers, survivor CSR arrays) must reproduce the
-  // exact same report every time.
+  // scratch (masks, survivor CSR arrays) must reproduce the exact same
+  // report every time.
   geom::Rng rng(1800);
   const auto pts =
       geom::make_instance(geom::Distribution::kClusters, 160, rng);
@@ -161,10 +156,8 @@ TEST(AuditParallel, RepeatedPooledSweepsAreStable) {
   session.set_threads(4);
   session.load(pts, res.orientation);
 
-  const int level = session.strong_connectivity_level(3);
   const auto first = session.failure_resilience(0.2, 25, 3);
   for (int rep = 0; rep < 3; ++rep) {
-    EXPECT_EQ(session.strong_connectivity_level(3), level) << "rep " << rep;
     const auto again = session.failure_resilience(0.2, 25, 3);
     EXPECT_EQ(again.mean_largest_scc, first.mean_largest_scc)
         << "rep " << rep;

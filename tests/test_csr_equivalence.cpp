@@ -88,10 +88,15 @@ void expect_equivalent(const std::vector<geom::Point>& pts,
 }
 
 TEST(CsrEquivalence, RandomUniformInstances) {
-  for (int trial = 0; trial < 4; ++trial) {
-    geom::Rng rng(4200 + trial);
+  // orient() output: beams + narrow wedges whose boundary rays aim exactly
+  // at neighbours, so the tolerance-band accept path dominates.
+  for (const auto& [seed, n] :
+       {std::pair{4200, 180}, std::pair{4201, 180}, std::pair{4202, 180},
+        std::pair{4203, 180}, std::pair{8800, 200}, std::pair{8801, 200},
+        std::pair{8802, 200}}) {
+    geom::Rng rng(seed);
     const auto pts =
-        geom::make_instance(geom::Distribution::kUniformSquare, 180, rng);
+        geom::make_instance(geom::Distribution::kUniformSquare, n, rng);
     const auto res = core::orient(pts, {2, kPi});
     expect_equivalent(pts, res.orientation);
   }
@@ -125,9 +130,9 @@ TEST(CsrEquivalence, SingleVertex) {
 }
 
 TEST(CsrEquivalence, DuplicatePoints) {
-  // Exact duplicates: every duplicate pair is mutually in range whenever a
-  // sector's radius is positive (distance 0), and the grid path must agree
-  // with brute force about them.
+  // Exact duplicates have no direction from each other (distance 0), so
+  // no sector accepts them; the grid path must skip exactly the pairs brute
+  // force skips, under full circles and under half-plane sectors.
   std::vector<geom::Point> pts = {{0, 0}, {0, 0}, {1, 0},
                                   {1, 0}, {0.5, 0.5}};
   antenna::Orientation o(static_cast<int>(pts.size()));
@@ -135,24 +140,37 @@ TEST(CsrEquivalence, DuplicatePoints) {
     o.add(u, geom::make_arc(pts[u], 0.0, 2 * kPi, 1.25));
   }
   expect_equivalent(pts, o);
+
+  pts.push_back({0.5, 0.5});
+  antenna::Orientation half(static_cast<int>(pts.size()));
+  for (int u = 0; u < static_cast<int>(pts.size()); ++u) {
+    half.add(u, geom::make_arc(pts[u], 0.3 * u, kPi, 1.5));
+  }
+  expect_equivalent(pts, half);
 }
 
 TEST(CsrEquivalence, WideSectorsBetweenPiAndTwoPi) {
   // pi < width < 2*pi exercises the complement-wedge branch of the fast
   // classifier (and its bounding-box hull), which no orient() output
-  // produces; mix in beams so multi-sector rows still dedup.
-  geom::Rng rng(8100);
-  const auto pts = geom::uniform_square(140, 4.0, rng);
-  const int n = static_cast<int>(pts.size());
-  std::uniform_real_distribution<double> start_dist(0.0, 2 * kPi);
-  std::uniform_real_distribution<double> width_dist(kPi + 0.1,
-                                                    2 * kPi - 0.1);
-  antenna::Orientation o(n);
-  for (int u = 0; u < n; ++u) {
-    o.add(u, geom::make_arc(pts[u], start_dist(rng), width_dist(rng), 1.1));
-    o.add(u, geom::beam_to(pts[u], pts[(u + 7) % n]));
+  // produces; mix in beams (and, on the second instance, full circles) so
+  // multi-sector rows dedup across every sector family.
+  for (const bool with_full : {false, true}) {
+    geom::Rng rng(with_full ? 8900 : 8100);
+    const auto pts = with_full ? geom::uniform_square(150, 3.0, rng)
+                               : geom::uniform_square(140, 4.0, rng);
+    const int n = static_cast<int>(pts.size());
+    std::uniform_real_distribution<double> start_dist(0.0, 2 * kPi);
+    std::uniform_real_distribution<double> width_dist(kPi + 0.1,
+                                                      2 * kPi - 0.1);
+    antenna::Orientation o(n);
+    for (int u = 0; u < n; ++u) {
+      o.add(u, geom::make_arc(pts[u], start_dist(rng), width_dist(rng),
+                              with_full ? 1.0 : 1.1));
+      if (with_full) o.add(u, geom::make_arc(pts[u], 0.0, 2 * kPi, 0.6));
+      o.add(u, geom::beam_to(pts[u], pts[(u + (with_full ? 11 : 7)) % n]));
+    }
+    expect_equivalent(pts, o);
   }
-  expect_equivalent(pts, o);
 }
 
 TEST(CsrEquivalence, LongRowsWithOverlappingSectors) {
@@ -188,77 +206,6 @@ void expect_bit_identical(const graph::Digraph& a, const graph::Digraph& b) {
       ASSERT_EQ(ra[k], rb[k]) << "row " << u << " slot " << k;
     }
   }
-}
-
-// --- phase-2 classifier: SoA batch loop vs the fused scalar oracle --------
-
-/// Builds the digraph with the scalar oracle, the default batch classifier,
-/// and the sharded batch build, and demands bit-identical CSR from all
-/// three.  The batch lane loops replace && / || with & / | over the grid's
-/// cell-ordered SoA runs — boolean-equivalent arithmetic on the same
-/// candidates in the same window-scan order, so nothing weaker than
-/// bit-identity is acceptable.
-void expect_classifier_parity(const std::vector<geom::Point>& pts,
-                              const antenna::Orientation& o) {
-  antenna::TransmissionScratch scalar_scratch;
-  scalar_scratch.classifier =
-      antenna::TransmissionScratch::Classifier::kScalar;
-  const auto scalar = antenna::induced_digraph_fast(
-      pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, scalar_scratch);
-
-  antenna::TransmissionScratch batch_scratch;  // kBatch is the default
-  const auto batch = antenna::induced_digraph_fast(
-      pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, batch_scratch);
-  expect_bit_identical(batch, scalar);
-
-  antenna::TransmissionScratch sharded_scratch;
-  const auto sharded = antenna::induced_digraph_fast(
-      pts, o, dirant::kAngleTol, dirant::kRadiusAbsTol, sharded_scratch, 4,
-      nullptr);
-  expect_bit_identical(sharded, scalar);
-}
-
-TEST(ClassifierBatch, BitIdenticalToScalarOnOrientOutput) {
-  // orient() output: beams + narrow wedges whose boundary rays aim exactly
-  // at neighbours — the tolerance-band accept path dominates.
-  for (int trial = 0; trial < 3; ++trial) {
-    geom::Rng rng(8800 + trial);
-    const auto pts =
-        geom::make_instance(geom::Distribution::kUniformSquare, 200, rng);
-    const auto res = core::orient(pts, {2, kPi});
-    expect_classifier_parity(pts, res.orientation);
-  }
-}
-
-TEST(ClassifierBatch, WideFullAndBeamSectorsMatchScalar) {
-  // The remaining per-flags loops: wide sectors (complement wedge),
-  // full circles (memset path), and beams, mixed so multi-sector rows
-  // exercise the dedup pass behind the batch emit.
-  geom::Rng rng(8900);
-  const auto pts = geom::uniform_square(150, 3.0, rng);
-  const int n = static_cast<int>(pts.size());
-  std::uniform_real_distribution<double> start_dist(0.0, 2 * kPi);
-  std::uniform_real_distribution<double> width_dist(kPi + 0.1,
-                                                    2 * kPi - 0.1);
-  antenna::Orientation o(n);
-  for (int u = 0; u < n; ++u) {
-    o.add(u, geom::make_arc(pts[u], start_dist(rng), width_dist(rng), 1.0));
-    o.add(u, geom::make_arc(pts[u], 0.0, 2 * kPi, 0.6));
-    o.add(u, geom::beam_to(pts[u], pts[(u + 11) % n]));
-  }
-  expect_classifier_parity(pts, o);
-}
-
-TEST(ClassifierBatch, DuplicatePointsMatchScalar) {
-  // Coincident points are skipped inside the lane loops (d2 == 0 has no
-  // direction); the skip must line up exactly with the scalar path's.
-  std::vector<geom::Point> pts = {{0, 0}, {0, 0}, {1, 0},
-                                  {1, 0}, {0.5, 0.5}, {0.5, 0.5}};
-  antenna::Orientation o(static_cast<int>(pts.size()));
-  for (int u = 0; u < static_cast<int>(pts.size()); ++u) {
-    o.add(u, geom::make_arc(pts[u], 0.3 * u, kPi, 1.5));
-  }
-  expect_classifier_parity(pts, o);
 }
 
 TEST(ShardedBuild, BitIdenticalToSerialAcrossThreadCounts) {
