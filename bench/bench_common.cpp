@@ -1,17 +1,8 @@
 #include "bench_common.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 namespace dirant::bench {
-
-double time_ms(const std::function<void()>& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 namespace {
 std::vector<std::function<void()>>& reports() {

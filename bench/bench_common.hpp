@@ -38,9 +38,6 @@ void sweep(const SweepSpec& spec,
 /// Horizontal rule + section header for report output.
 void section(const std::string& title);
 
-/// Wall-clock milliseconds of one invocation of `body` (steady clock).
-double time_ms(const std::function<void()>& body);
-
 }  // namespace dirant::bench
 
 /// Define a report block: DIRANT_REPORT(my_report) { ...printf...; }

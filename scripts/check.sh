@@ -30,23 +30,22 @@ run_variant() {
 
 CTEST_EXTRA=("$@")
 
-# The Release variant builds the bench binaries, so its ctest run includes
-# the bench_smoke entries (x3_scaling + x6_certify + x7_churn at tiny n
-# with DIRANT_BENCH_SMOKE=1, plus the pooled sharded-certify and
-# trial-parallel audit x6 paths) — benches can't silently bit-rot.  The
-# sanitized Debug variant skips benches for build time and runs its suite
-# with DIRANT_TEST_THREADS=4: the sharded digraph-build tests then spin
-# real 4-worker pools, so memory errors in the concurrent paths surface
-# under asan/ubsan.  The ThreadSanitizer variant (DIRANT_TSAN) re-runs
-# exactly the concurrency-heavy suites — the sharded certify build, the
-# batch fan-out, the pool-parallel Borůvka EMST, the trial-parallel
-# audits, and the churn engine's pooled rebuild (both churn suites,
-# including the sub-linear warm-path acceptance tests) — with the same
-# 4-worker pools, so data races (not just memory errors) surface too.  All
-# variants promote the library's -Wall -Wextra diagnostics to errors
-# (DIRANT_WERROR).  The perfbench self-test runs last: the benchmark compiles
-# against the library's public headers, so an API change that breaks it
-# fails here rather than in the benchmark run.
+# The Release variant also builds the paper-reproduction bench binaries
+# (table1_bounds, fig*, x1, x2, x4, x5), so they cannot rot at compile
+# time; performance is measured by perfbench alone.  The sanitized Debug
+# variant skips benches for build time and runs its suite with
+# DIRANT_TEST_THREADS=4: the sharded digraph-build tests then spin real
+# 4-worker pools, so memory errors in the concurrent paths surface under
+# asan/ubsan.  The ThreadSanitizer variant (DIRANT_TSAN) re-runs exactly
+# the concurrency-heavy suites — the sharded certify build, the batch
+# fan-out, the pool-parallel Borůvka EMST, the trial-parallel audits, the
+# churn engine's pooled rebuild (both churn suites, including the
+# sub-linear warm-path acceptance tests), the traffic engine and its event
+# queue — with the same 4-worker pools, so data races (not just memory
+# errors) surface too.  All variants promote the library's -Wall -Wextra
+# diagnostics to errors (DIRANT_WERROR).  The perfbench self-test runs
+# last: the benchmark compiles against the library's public headers, so an
+# API change that breaks it fails here rather than in the benchmark run.
 run_variant build-release "" -DCMAKE_BUILD_TYPE=Release -DDIRANT_WERROR=ON
 DIRANT_TEST_THREADS=4 \
 run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \

@@ -20,9 +20,8 @@ void run_one(const std::vector<geom::Point>& pts, const ProblemSpec& spec,
   out.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   if (options.certify) {
-    // Idempotent when unchanged: the worker session keeps (or drops) its
-    // certify pool across the instances it streams.
-    session.set_threads(options.certify_threads);
+    // Worker sessions keep their default of one thread: serial,
+    // allocation-free certify.
     out.certificate = session.certify(pts, spec);
   }
 }

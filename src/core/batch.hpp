@@ -23,14 +23,6 @@ struct BatchOptions {
   /// Instances per task lower bound; raise it when instances are tiny so
   /// pool overhead does not dominate.
   int min_chunk = 1;
-  /// Per-instance certification parallelism (PlanSession::set_threads on
-  /// each worker session).  1 = serial, allocation-free certify (default);
-  /// > 1 shards the certification digraph build — identical results,
-  /// intended for certify-dominated batches of LARGE instances.  Combined
-  /// with `parallel` this oversubscribes (workers × certify_threads
-  /// threads); prefer instance-level fan-out unless individual instances
-  /// are big enough to need intra-instance parallelism.
-  int certify_threads = 1;
 };
 
 /// One per-instance record of a batch run.

@@ -29,11 +29,6 @@ Certificate make_certificate(const Result& res, const ProblemSpec& spec,
   return c;
 }
 
-bool can_reuse_scc_certificate(bool force_full, bool patched_rows,
-                               bool cache_valid) {
-  return !force_full && patched_rows && cache_valid;
-}
-
 Certificate certify(std::span<const geom::Point> pts, const Result& res,
                     const ProblemSpec& spec, bool use_fast_graph,
                     CertifyScratch& scratch, int threads,

@@ -51,18 +51,6 @@ struct CertifyScratch {
 Certificate make_certificate(const Result& res, const ProblemSpec& spec,
                              int scc_count);
 
-/// Policy gate for skipping the SCC pass in favour of a cached
-/// strong-connectivity certificate (graph::IncrementalSccCert).  Reuse is
-/// sound only when all three hold: the caller has not forced full
-/// recomputation, the digraph was produced by the *row patch* (the
-/// recertifier's broken-edge enumeration is exhaustive against the patch's
-/// clean/dirty row semantics — a fully rebuilt CSR offers no such
-/// invariant), and the cached spanning in/out trees are still valid.
-/// Centralised here so the decision cannot drift from the certificate
-/// arithmetic it guards.
-bool can_reuse_scc_certificate(bool force_full, bool patched_rows,
-                               bool cache_valid);
-
 /// Certify `res` against `spec`.  `use_fast_graph` forces the
 /// grid-accelerated digraph builder (true) or the brute-force reference
 /// (false); identical output either way.

@@ -44,8 +44,9 @@ const char* to_string(EngineKind k);
 
 struct EngineConfig {
   EngineKind kind = EngineKind::kAuto;
-  /// Below this size kAuto picks Prim.  Measured crossover on uniform
-  /// instances is well under 100 points (docs/perf.md).
+  /// Below this size kAuto picks Prim.  Set under the measured crossover
+  /// (~100-130 points on uniform instances) because sim::ChurnEngine
+  /// escalates every step below it (docs/perf.md).
   int prim_cutoff = 64;
 };
 
@@ -72,7 +73,7 @@ struct EmstScratch {
 
 /// Stateless facade over the EMST builders; cheap to copy.  Use
 /// `EmstEngine::shared()` unless a caller needs a non-default policy
-/// (benches force each engine to measure the crossover).
+/// (the oracle tests force each engine).
 class EmstEngine {
  public:
   constexpr EmstEngine() = default;

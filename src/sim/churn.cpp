@@ -14,6 +14,10 @@ namespace dirant::sim {
 
 namespace {
 
+/// Dirty-node fraction above which the digraph row patch escalates to the
+/// full (sharded) rebuild.
+constexpr double kDirtyThreshold = 0.25;
+
 /// splitmix64 — the same per-stream mixer the audit layer seeds its trial
 /// RNGs with: every (seed, tag) pair gets an independent, reproducible
 /// stream regardless of how many draws other streams consumed.
@@ -302,9 +306,7 @@ void ChurnEngine::replan() {
   report_.orient_planned = 0;
   report_.warm_orient = false;
   const char* esc = nullptr;
-  if (opts_.force_full) {
-    esc = "forced";
-  } else if (!pool_edges_.valid()) {
+  if (!pool_edges_.valid()) {
     esc = "pool-invalid";
   } else if (alive_count_ < session_.engine().config().prim_cutoff) {
     // A fresh plan at this size would take Prim, whose tree the pool path
@@ -420,9 +422,11 @@ void ChurnEngine::derive_mst_events() {
 
 int ChurnEngine::certify_sccs() {
   report_.cert_reused = false;
-  if (core::can_reuse_scc_certificate(opts_.force_full,
-                                      report_.incremental_digraph,
-                                      recert_.valid())) {
+  // Reuse is sound only on a row-patched digraph (the recertifier's
+  // broken-edge enumeration is exhaustive against the patch's clean/dirty
+  // row semantics; a fully rebuilt CSR offers no such invariant) whose
+  // cached spanning in/out trees are still valid.
+  if (report_.incremental_digraph && recert_.valid()) {
     // Suspects = this batch's dirty re-plan set ∪ its dead nodes — exactly
     // the rows the patch rebuilt or dropped, which is every place a cached
     // certificate edge can have broken (graph/recert.hpp).  Both inputs are
@@ -509,8 +513,7 @@ void ChurnEngine::compute_dirty() {
 
 void ChurnEngine::build_digraph() {
   const auto& o = session_.last_result().orientation;
-  const bool patch = !opts_.force_full &&
-                     report_.dirty_fraction <= opts_.dirty_threshold;
+  const bool patch = report_.dirty_fraction <= kDirtyThreshold;
   report_.incremental_digraph = patch;
   if (!patch) {
     graph::Digraph fresh = antenna::induced_digraph_fast(

@@ -25,8 +25,9 @@
 ///     antenna::sector_accepts — while dirty rows rebuild from a grid
 ///     query.  Row edge *sets* equal the fresh builder's by induction, so
 ///     the SCC count (a graph property) and hence the certificate match
-///     exactly.  Escalates to the sharded full rebuild when the dirty
-///     fraction crosses `ChurnOptions::dirty_threshold`.
+///     exactly.  Escalates to the sharded full rebuild when more than a
+///     quarter of the alive nodes are dirty (`kDirtyThreshold` in
+///     churn.cpp).
 ///   * Certificate: the SCC count (Tarjan) plugs into
 ///     core::make_certificate — the same arithmetic `certify` runs.
 ///
@@ -102,15 +103,10 @@ struct AppliedEvent {
 };
 
 struct ChurnOptions {
-  /// Dirty-sector fraction above which the digraph patch path escalates to
-  /// the full (sharded) rebuild.
-  double dirty_threshold = 0.25;
   /// Probe the frozen survivor graph's deletion-robustness level (0 =
   /// disconnected, 1 = strongly connected, 2 = survives every single-node
   /// deletion).  n reachability probes per step — off by default.
   bool probe_k_level = false;
-  /// Disable both incremental paths (baseline / bench denominator).
-  bool force_full = false;
   /// Fail events that would leave fewer than this many alive nodes are
   /// rejected (the engine always has a plannable point set).
   int min_alive = 3;
@@ -166,9 +162,8 @@ struct StepReport {
   /// The strong-connectivity certificate was revalidated from the dirty
   /// frontier against the cached spanning in/out trees — no SCC pass ran.
   bool cert_reused = false;
-  /// Why the plan escalated (nullptr = it didn't): "forced",
-  /// "pool-invalid", "below-prim-cutoff", "pool-oversized",
-  /// "pool-disconnected".
+  /// Why the plan escalated (nullptr = it didn't): "pool-invalid",
+  /// "below-prim-cutoff", "pool-oversized", "pool-disconnected".
   const char* escalation = nullptr;
   /// Post-repair certificate over the surviving set — bit-identical to
   /// `PlanSession::certify` on a fresh session at the same thread count.

@@ -30,17 +30,7 @@ int find_ge(const std::uint64_t (&w)[Words], int from) {
 
 }  // namespace
 
-const char* to_string(QueueKind k) {
-  switch (k) {
-    case QueueKind::kTimingWheel:
-      return "wheel";
-    case QueueKind::kBinaryHeap:
-      return "heap";
-  }
-  return "?";
-}
-
-void EventQueue::reset(QueueKind kind) {
+void EventQueue::reset() {
   for (std::vector<Packed>& b : buckets_) b.clear();
   std::memset(occ_, 0, sizeof occ_);
   heap_.clear();
@@ -50,7 +40,6 @@ void EventQueue::reset(QueueKind kind) {
   seq_ = 0;
   cascaded_ = 0;
   parked_ = 0;
-  kind_ = kind;
 }
 
 void EventQueue::park(std::uint64_t tick, std::uint32_t data,
@@ -122,22 +111,6 @@ void EventQueue::advance() {
     cascade(1);
     from = 0;
   }
-}
-
-void EventQueue::push_heap_mode(std::uint64_t tick, std::uint32_t data,
-                                std::uint32_t aux) {
-  DIRANT_ASSERT(tick >= cur_);
-  heap_.push_back(HeapEntry{tick, seq_++, data, aux});
-  std::push_heap(heap_.begin(), heap_.end(), heap_later);
-}
-
-EventQueue::Item EventQueue::pop_heap_mode() {
-  std::pop_heap(heap_.begin(), heap_.end(), heap_later);
-  const HeapEntry e = heap_.back();
-  heap_.pop_back();
-  --size_;
-  cur_ = e.tick;
-  return Item{e.tick, e.data, e.aux};
 }
 
 }  // namespace dirant::sim

@@ -714,8 +714,8 @@ const TrafficReport& TrafficEngine::run(const TrafficSchedule& schedule,
   }
   rebuild_routes();
 
-  // Seed the event queue (wheel or oracle heap, per opts.queue).
-  queue_.reset(opts.queue);
+  // Seed the event queue.
+  queue_.reset();
   pool_.clear();
   slot_live_.clear();
   free_slots_.clear();
@@ -728,9 +728,9 @@ const TrafficReport& TrafficEngine::run(const TrafficSchedule& schedule,
     }
   }
 
-  // The loop.  Serial by design: the queue pops a strict (tick, seq)
-  // total order — structurally in the wheel, by comparator in the heap —
-  // so the run is a pure function of (topology, schedule, seed).
+  // The loop.  Serial by design: the wheel pops a strict (tick, seq)
+  // total order, so the run is a pure function of (topology, schedule,
+  // seed).
   while (!queue_.empty()) {
     const EventQueue::Item e = queue_.pop();
     ++report_.events;

@@ -12,9 +12,8 @@
 ///
 /// The engine is a timestamped event loop (hierarchical timing wheel over
 /// integer ticks — see sim/event_queue.hpp — whose FIFO buckets realise
-/// the (tick, sequence) total order structurally; the classic binary heap
-/// is retained behind `TrafficOptions::queue` as the bit-identical oracle)
-/// above a bound transmission digraph:
+/// the (tick, sequence) total order structurally) above a bound
+/// transmission digraph:
 ///
 ///   * **Forwarding queues.**  Every node is a single radio with a finite
 ///     FIFO queue (`TrafficOptions::queue_capacity`).  A packet copy
@@ -57,7 +56,7 @@
 ///     degraded delivery is data, never a throw.
 ///
 /// Determinism is the contract, same as everywhere else: the event loop is
-/// serial, its heap order is a strict total order, and every thread-
+/// serial, its queue order is a strict total order, and every thread-
 /// sensitive stage underneath (sharded digraph build, churn
 /// recertification) carries its own bit-identity contract —
 /// so the whole TrafficReport is bit-identical across repeats and at every
@@ -163,11 +162,6 @@ struct TrafficOptions {
   std::uint64_t service_ticks = 8;  ///< radio airtime per transmission
   int ttl = 64;                  ///< max hops per packet copy
   std::uint64_t seed = 1;
-  /// Event-queue implementation.  The wheel and the heap pop the same
-  /// strict (tick, seq) order, so every TrafficReport field is
-  /// bit-identical between the two — the heap exists as the oracle the
-  /// parity tests and benches compare against.
-  QueueKind queue = QueueKind::kTimingWheel;
 };
 
 /// One unicast flow: `packets` packets from `src` to `dst` (original ids),
@@ -267,14 +261,14 @@ class TrafficEngine {
   /// that the run never throws on degraded delivery: stranded
   /// destinations, drops and partial delivery are report fields.  Pure
   /// function of (topology, schedule, opts) — bit-identical across
-  /// repeats, thread counts and `TrafficOptions::queue` kinds.
+  /// repeats and thread counts.
   const TrafficReport& run(const TrafficSchedule& schedule,
                            const TrafficOptions& opts);
 
   const TrafficReport& last_report() const { return report_; }
 
-  /// The event core of the last/current run (queue-kind, cascade and
-  /// overflow counters) — observability for tests and benches.
+  /// The event core of the last/current run (cascade and overflow
+  /// counters) — observability for tests and benches.
   const EventQueue& event_queue() const { return queue_; }
 
   /// Remaining battery charge of original node `u` after the last run

@@ -1,17 +1,18 @@
 // sim::EventQueue — the timing-wheel vs binary-heap parity suite.  The
 // wheel's whole claim is that it realises the same strict (tick, seq) pop
-// order as the heap *structurally*, so every test here drives both kinds
-// through the same push/pop trace and asserts exact equality of the
-// (tick, data, aux) pop sequence — not statistical similarity.  Covered
-// adversaries: random tick spreads at every wheel level, same-tick floods,
-// interleaved push-while-draining, far-horizon events that park in the
-// overflow heap and cascade back in, and sparse far-apart timers that
-// exercise the empty-wheel cursor jump.  A final test pins the recycled-
-// slab contract: replaying an identical trace on a warm queue performs
-// zero heap allocations.
+// order as a binary heap *structurally*, so every test here drives the
+// wheel and a test-local reference heap through the same push/pop trace
+// and asserts exact equality of the (tick, data, aux) pop sequence — not
+// statistical similarity.  Covered adversaries: random tick spreads at
+// every wheel level, same-tick floods, interleaved push-while-draining,
+// far-horizon events that park in the overflow heap and cascade back in,
+// and sparse far-apart timers that exercise the empty-wheel cursor jump.
+// A final test pins the recycled-slab contract: replaying an identical
+// trace on a warm queue performs zero heap allocations.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -95,6 +96,49 @@ std::uint64_t splitmix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+// The reference queue: the textbook realisation of the strict
+// (tick, push-order) order, with an explicit sequence number and O(log m)
+// comparisons per push/pop.  `now()` is the last popped tick.
+class HeapQueue {
+ public:
+  void reset() {
+    heap_.clear();
+    now_ = 0;
+    seq_ = 0;
+  }
+  bool empty() const { return heap_.empty(); }
+  std::uint64_t now() const { return now_; }
+
+  void push(std::uint64_t tick, std::uint32_t data, std::uint32_t aux) {
+    ASSERT_GE(tick, now_);
+    heap_.push_back(Entry{tick, seq_++, data, aux});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+
+  sim::EventQueue::Item pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Entry e = heap_.back();
+    heap_.pop_back();
+    now_ = e.tick;
+    return sim::EventQueue::Item{e.tick, e.data, e.aux};
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t tick;
+    std::uint64_t seq;
+    std::uint32_t data;
+    std::uint32_t aux;
+  };
+  static bool later(const Entry& a, const Entry& b) {
+    return a.tick != b.tick ? a.tick > b.tick : a.seq > b.seq;
+  }
+
+  std::vector<Entry> heap_;
+  std::uint64_t now_ = 0;
+  std::uint64_t seq_ = 0;
+};
+
 struct Popped {
   std::uint64_t tick;
   std::uint32_t data;
@@ -108,10 +152,10 @@ struct Popped {
 // then drain the remainder.  `data` carries the push index, so an
 // out-of-order pop — or any FIFO violation among equal ticks — shows up
 // as a payload mismatch, not just a tick mismatch.
-void run_trace(sim::EventQueue& q, sim::QueueKind kind, std::uint64_t seed,
-               int pushes, std::uint64_t spread, int burst,
-               std::vector<Popped>& out) {
-  q.reset(kind);
+template <class Queue>
+void run_trace(Queue& q, std::uint64_t seed, int pushes, std::uint64_t spread,
+               int burst, std::vector<Popped>& out) {
+  q.reset();
   out.clear();
   std::uint64_t ctr = seed;
   int pushed = 0;
@@ -132,12 +176,10 @@ void run_trace(sim::EventQueue& q, sim::QueueKind kind, std::uint64_t seed,
 void expect_same_trace(std::uint64_t seed, int pushes, std::uint64_t spread,
                        int burst) {
   sim::EventQueue wheel;
-  sim::EventQueue heap;
+  HeapQueue heap;
   std::vector<Popped> w, h;
-  run_trace(wheel, sim::QueueKind::kTimingWheel, seed, pushes, spread, burst,
-            w);
-  run_trace(heap, sim::QueueKind::kBinaryHeap, seed, pushes, spread, burst,
-            h);
+  run_trace(wheel, seed, pushes, spread, burst, w);
+  run_trace(heap, seed, pushes, spread, burst, h);
   ASSERT_EQ(w.size(), h.size());
   ASSERT_EQ(w.size(), static_cast<std::size_t>(pushes));
   for (std::size_t i = 0; i < w.size(); ++i) {
@@ -148,11 +190,6 @@ void expect_same_trace(std::uint64_t seed, int pushes, std::uint64_t spread,
   for (std::size_t i = 1; i < w.size(); ++i) {
     ASSERT_LE(w[i - 1].tick, w[i].tick);
   }
-}
-
-TEST(EventQueue, ToStringNamesKinds) {
-  EXPECT_STREQ("wheel", sim::to_string(sim::QueueKind::kTimingWheel));
-  EXPECT_STREQ("heap", sim::to_string(sim::QueueKind::kBinaryHeap));
 }
 
 // Spreads chosen to pin each mechanism: 0 (pure FIFO), 3 (single level-0
@@ -166,50 +203,58 @@ TEST(EventQueue, ParityAcrossTickSpreads) {
   expect_same_trace(5, 2000, 1ull << 26, 4);
 }
 
-TEST(EventQueue, SameTickFloodIsFifo) {
-  sim::EventQueue q;
-  for (int trial = 0; trial < 2; ++trial) {
-    q.reset(trial == 0 ? sim::QueueKind::kTimingWheel
-                       : sim::QueueKind::kBinaryHeap);
-    q.push(41, 0xffffffffu, 0);
-    for (std::uint32_t i = 0; i < 1000; ++i) q.push(42, i, ~i);
-    ASSERT_EQ(q.pop().tick, 41u);
-    for (std::uint32_t i = 0; i < 1000; ++i) {
-      const sim::EventQueue::Item e = q.pop();
-      ASSERT_EQ(e.tick, 42u);
-      ASSERT_EQ(e.data, i);
-      ASSERT_EQ(e.aux, ~i);
-    }
-    EXPECT_TRUE(q.empty());
+template <class Queue>
+void same_tick_flood(Queue& q) {
+  q.reset();
+  q.push(41, 0xffffffffu, 0);
+  for (std::uint32_t i = 0; i < 1000; ++i) q.push(42, i, ~i);
+  ASSERT_EQ(q.pop().tick, 41u);
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    const sim::EventQueue::Item e = q.pop();
+    ASSERT_EQ(e.tick, 42u);
+    ASSERT_EQ(e.data, i);
+    ASSERT_EQ(e.aux, ~i);
   }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, SameTickFloodIsFifo) {
+  sim::EventQueue wheel;
+  HeapQueue heap;
+  same_tick_flood(wheel);
+  same_tick_flood(heap);
 }
 
 // Same-tick pushes arriving while the cursor's bucket is mid-drain must
 // pop in push order after the already-queued events — the handler-
 // schedules-at-now pattern the engine leans on.
+template <class Queue>
+void push_at_now_while_draining(Queue& q) {
+  q.reset();
+  q.push(7, 0, 0);
+  q.push(7, 1, 0);
+  ASSERT_EQ(q.pop().data, 0u);
+  q.push(7, 2, 0);  // lands behind data=1 at the same tick
+  q.push(8, 3, 0);
+  ASSERT_EQ(q.pop().data, 1u);
+  ASSERT_EQ(q.pop().data, 2u);
+  ASSERT_EQ(q.pop().data, 3u);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueue, PushAtNowWhileDraining) {
-  for (const auto kind :
-       {sim::QueueKind::kTimingWheel, sim::QueueKind::kBinaryHeap}) {
-    sim::EventQueue q;
-    q.reset(kind);
-    q.push(7, 0, 0);
-    q.push(7, 1, 0);
-    ASSERT_EQ(q.pop().data, 0u);
-    q.push(7, 2, 0);  // lands behind data=1 at the same tick
-    q.push(8, 3, 0);
-    ASSERT_EQ(q.pop().data, 1u);
-    ASSERT_EQ(q.pop().data, 2u);
-    ASSERT_EQ(q.pop().data, 3u);
-    EXPECT_TRUE(q.empty());
-  }
+  sim::EventQueue wheel;
+  HeapQueue heap;
+  push_at_now_while_draining(wheel);
+  push_at_now_while_draining(heap);
 }
 
 // Far-horizon events must actually exercise the park/cascade machinery —
 // the counters prove the trace went through the overflow heap and upper
 // wheels, not some degenerate shortcut.
-TEST(EventQueue, FarHorizonParksAndCascades) {
-  sim::EventQueue q;
-  q.reset(sim::QueueKind::kTimingWheel);
+template <class Queue>
+void far_horizon(Queue& q) {
+  q.reset();
   // Beyond the 2^24-tick wheel span: parks in the overflow heap.
   q.push(1ull << 30, 100, 0);
   q.push((1ull << 30) + (1ull << 20), 101, 0);
@@ -218,8 +263,6 @@ TEST(EventQueue, FarHorizonParksAndCascades) {
   q.push(300, 300, 0);
   EXPECT_EQ(q.pop().data, 300u);
   EXPECT_EQ(q.pop().data, 200u);
-  EXPECT_GT(q.cascaded(), 0u);
-  EXPECT_EQ(q.parked(), 2u);
   // The wheels are now empty: the cursor jumps straight to the overflow
   // window instead of stepping 2^30 ticks.
   const sim::EventQueue::Item far1 = q.pop();
@@ -229,6 +272,15 @@ TEST(EventQueue, FarHorizonParksAndCascades) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, FarHorizonParksAndCascades) {
+  sim::EventQueue wheel;
+  HeapQueue heap;
+  far_horizon(wheel);
+  far_horizon(heap);
+  EXPECT_GT(wheel.cascaded(), 0u);
+  EXPECT_EQ(wheel.parked(), 2u);
+}
+
 // Sparse far-apart timers: every pop crosses several empty windows, and
 // parked events keep their FIFO rank among equal ticks.
 TEST(EventQueue, SparseTimersParity) {
@@ -236,34 +288,17 @@ TEST(EventQueue, SparseTimersParity) {
                     /*burst=*/3);
 }
 
-TEST(EventQueue, ResetRewindsAndKeepsKind) {
-  sim::EventQueue q;
-  q.reset(sim::QueueKind::kBinaryHeap);
-  q.push(5, 1, 0);
-  (void)q.pop();
-  EXPECT_EQ(q.now(), 5u);
-  q.reset();
-  EXPECT_EQ(q.kind(), sim::QueueKind::kBinaryHeap);
-  EXPECT_EQ(q.now(), 0u);
-  EXPECT_TRUE(q.empty());
-  q.reset(sim::QueueKind::kTimingWheel);
-  EXPECT_EQ(q.kind(), sim::QueueKind::kTimingWheel);
-}
-
 // The recycled-slab contract behind WarmRunIsAllocationFree: replaying an
-// identical trace on a warm queue touches no allocator, for both kinds.
+// identical trace on a warm queue touches no allocator.
 TEST(EventQueue, WarmReplayIsAllocationFree) {
-  for (const auto kind :
-       {sim::QueueKind::kTimingWheel, sim::QueueKind::kBinaryHeap}) {
-    sim::EventQueue q;
-    std::vector<Popped> out;
-    const auto replay = [&] {
-      run_trace(q, kind, /*seed=*/17, /*pushes=*/3000, /*spread=*/40000,
-                /*burst=*/8, out);
-    };
-    replay();  // cold: grows buckets and `out` to their peak occupancy
-    EXPECT_EQ(count_allocations(replay), 0) << sim::to_string(kind);
-  }
+  sim::EventQueue q;
+  std::vector<Popped> out;
+  const auto replay = [&] {
+    run_trace(q, /*seed=*/17, /*pushes=*/3000, /*spread=*/40000,
+              /*burst=*/8, out);
+  };
+  replay();  // cold: grows buckets and `out` to their peak occupancy
+  EXPECT_EQ(count_allocations(replay), 0);
 }
 
 }  // namespace

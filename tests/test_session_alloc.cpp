@@ -279,50 +279,67 @@ TEST(SessionAllocation, WarmChurnLoopIsAllocationFree) {
   // steady-state batch — event application, pool maintenance, frozen-graph
   // audit, re-plan, digraph patch (or full rebuild), SCC, certificate,
   // snapshot — without touching the heap, on BOTH the incremental and the
-  // escalated path.  The workload keeps the alive count constant (moves
+  // escalated path.  The workloads keep the alive count constant (moves
   // only): shrinking and regrowing the alive set resizes the per-node
-  // output arena, which allocates by design (see sim/churn.hpp).  The
-  // same three nodes shuttle between two fixed positions, so every batch
-  // has identical shape and the candidate pool cycles through the same
-  // grow -> oversized -> reseed rhythm: the warm-up batches visit every
-  // buffer high-water mark the measured batches will.
+  // output arena, which allocates by design (see sim/churn.hpp).  The same
+  // nodes shuttle between two fixed positions, so every batch has
+  // identical shape: the warm-up batches visit every buffer high-water mark
+  // the measured batches will.
+  const dirant::core::ProblemSpec spec{2, kPi};
+
+  // Six warm-up batches, then six counted ones (events pre-built so
+  // schedule generation never counts).  Returns whether every counted step
+  // took the full path: an escalated re-plan, a full digraph rebuild and
+  // an SCC pass instead of the cached certificate.
+  const auto run_loop = [&](const std::vector<geom::Point>& pts,
+                            const std::vector<int>& movers) {
+    dirant::sim::ChurnEngine eng;
+    eng.init(pts, spec);
+    const auto batch_for = [&](int b) {
+      std::vector<dirant::sim::ChurnEvent> events;
+      for (int node : movers) {
+        geom::Point to = pts[node];
+        if (b % 2 == 1) to.x += 0.02;
+        events.push_back({dirant::sim::ChurnEventKind::kMove, node, to});
+      }
+      return events;
+    };
+    std::vector<std::vector<dirant::sim::ChurnEvent>> warm, measured;
+    for (int b = 1; b <= 6; ++b) warm.push_back(batch_for(b));
+    for (int b = 7; b <= 12; ++b) measured.push_back(batch_for(b));
+    for (const auto& events : warm) eng.step(events);
+
+    bool all_full = true;
+    const long long allocs = count_allocations([&] {
+      for (const auto& events : measured) {
+        const auto& r = eng.step(events);
+        all_full = all_full && r.escalation != nullptr &&
+                   !r.incremental_digraph && !r.cert_reused;
+      }
+    });
+    EXPECT_EQ(allocs, 0) << "warm churn loop allocated (n=" << pts.size()
+                         << ")";
+    EXPECT_EQ(eng.alive_count(), static_cast<int>(pts.size()));
+    EXPECT_TRUE(eng.last_report().certificate.ok());
+    return all_full;
+  };
+
+  // Incremental path: three movers among 300 nodes.  The candidate pool
+  // cycles through the same grow -> oversized -> reseed rhythm each pass.
   geom::Rng rng(4242);
   const auto pts =
       geom::make_instance(geom::Distribution::kUniformSquare, 300, rng);
-  const dirant::core::ProblemSpec spec{2, kPi};
+  (void)run_loop(pts, {5, 17, 42});
 
-  auto batch_for = [&](const dirant::sim::ChurnEngine& eng, int b) {
-    std::vector<dirant::sim::ChurnEvent> events;
-    for (int node : {5, 17, 42}) {
-      geom::Point to = pts[node];
-      if (b % 2 == 1) to.x += 0.02;
-      events.push_back({dirant::sim::ChurnEventKind::kMove, node, to});
-    }
-    (void)eng;
-    return events;
-  };
-
-  for (const bool force_full : {false, true}) {
-    dirant::sim::ChurnEngine eng;
-    dirant::sim::ChurnOptions opts;
-    opts.force_full = force_full;
-    eng.init(pts, spec, opts);
-    // Warm-up: enough batches to cycle the pool's escalate/reseed rhythm
-    // and ratchet every scratch buffer (events pre-built so schedule
-    // generation never counts).
-    std::vector<std::vector<dirant::sim::ChurnEvent>> warm, measured;
-    for (int b = 1; b <= 6; ++b) warm.push_back(batch_for(eng, b));
-    for (int b = 7; b <= 12; ++b) measured.push_back(batch_for(eng, b));
-    for (const auto& events : warm) eng.step(events);
-
-    const long long allocs = count_allocations([&] {
-      for (const auto& events : measured) eng.step(events);
-    });
-    EXPECT_EQ(allocs, 0) << "warm churn loop allocated (force_full="
-                         << force_full << ")";
-    EXPECT_EQ(eng.alive_count(), 300);
-    EXPECT_TRUE(eng.last_report().certificate.ok());
-  }
+  // Escalated path with no option set: below the EMST engine's Prim
+  // cutoff (64) every step re-plans in full, and moving every node makes
+  // the whole alive set dirty, so the digraph is rebuilt and Tarjan runs.
+  const auto small =
+      geom::make_instance(geom::Distribution::kUniformSquare, 48, rng);
+  std::vector<int> everyone(small.size());
+  for (int i = 0; i < static_cast<int>(everyone.size()); ++i) everyone[i] = i;
+  EXPECT_TRUE(run_loop(small, everyone))
+      << "every measured step must take the full re-plan, rebuild and SCC";
 }
 
 TEST(SessionAllocation, BatchChunkPerWorkerIsAllocationFree) {
