@@ -42,10 +42,11 @@ CTEST_EXTRA=("$@")
 # churn engine's pooled rebuild (both churn suites, including the
 # sub-linear warm-path acceptance tests), the traffic engine and its event
 # queue — with the same 4-worker pools, so data races (not just memory
-# errors) surface too.  All variants promote the library's -Wall -Wextra
-# diagnostics to errors (DIRANT_WERROR).  The perfbench self-test runs
-# last: the benchmark compiles against the library's public headers, so an
-# API change that breaks it fails here rather than in the benchmark run.
+# errors) surface too.  All variants promote the -Wall -Wextra diagnostics
+# of the library and the test suites to errors (DIRANT_WERROR).  The
+# perfbench self-test runs last: the benchmark compiles against the
+# library's public headers, so an API change that breaks it fails here
+# rather than in the benchmark run.
 run_variant build-release "" -DCMAKE_BUILD_TYPE=Release -DDIRANT_WERROR=ON
 DIRANT_TEST_THREADS=4 \
 run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \

@@ -24,18 +24,20 @@ inline bool edge_key_less(double d2a, int a1, int a2, double d2b, int b1,
 
 }  // namespace
 
-void DelaunayEdgePool::reset() {
-  pool_.clear();
-  valid_ = false;
-}
-
 void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
-                            const int* orig_of) {
+                            const int* orig_of,
+                            std::span<const char> present) {
+  present_.assign(present.begin(), present.end());
+  present_count_ = static_cast<int>(std::count_if(
+      present_.begin(), present_.end(), [](char c) { return c != 0; }));
+  is_star_.assign(present_.size(), 0);
+  stars_.clear();
   pool_.clear();
   pool_.reserve(edges.size());
   for (const auto& [a, b] : edges) {
     const int u = orig_of == nullptr ? a : orig_of[a];
     const int v = orig_of == nullptr ? b : orig_of[b];
+    DIRANT_ASSERT(present_[u] && present_[v]);
     pool_.emplace_back(std::min(u, v), std::max(u, v));
   }
   std::sort(pool_.begin(), pool_.end());
@@ -45,6 +47,23 @@ void DelaunayEdgePool::seed(std::span<const std::pair<int, int>> edges,
 
 void DelaunayEdgePool::erase_node(int w) {
   if (!valid_) return;
+  DIRANT_ASSERT(present_[w]);
+  if (is_star_[w]) {
+    // A star borders every other present node.
+    if (present_count_ - 1 > cfg_.degree_cap) {
+      valid_ = false;
+      return;
+    }
+    materialize_stars();
+  }
+  present_[w] = 0;
+  --present_count_;
+  // Every star is a neighbour of w on top of its explicit ones.
+  const int stars = static_cast<int>(stars_.size());
+  if (stars > cfg_.degree_cap) {
+    valid_ = false;
+    return;
+  }
   nbrs_.clear();
   size_t keep = 0;
   for (const auto& e : pool_) {
@@ -57,13 +76,14 @@ void DelaunayEdgePool::erase_node(int w) {
     }
   }
   pool_.resize(keep);
-  if (static_cast<int>(nbrs_.size()) > cfg_.degree_cap) {
+  if (static_cast<int>(nbrs_.size()) + stars > cfg_.degree_cap) {
     // O(deg²) closure would blow up; hand the problem to the full re-plan.
     valid_ = false;
     return;
   }
   // Deleting w retriangulates its star with edges among its (Delaunay ⊆
-  // pool) neighbours; adding every pair keeps the superset invariant.
+  // pool) neighbours; adding every pair keeps the superset invariant.  Pairs
+  // touching a star node are already covered by that star.
   additions_.clear();
   for (size_t i = 0; i < nbrs_.size(); ++i) {
     for (size_t j = i + 1; j < nbrs_.size(); ++j) {
@@ -78,6 +98,28 @@ void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
   if (!valid_ || ws.empty()) return;
   if (ws.size() == 1) {
     erase_node(ws.front());
+    return;
+  }
+  bool any_star = false;
+  for (int w : ws) any_star = any_star || is_star_[w];
+  if (any_star) {
+    // A star joins every erased node into one component bordering every
+    // survivor.
+    if (present_count_ - static_cast<int>(ws.size()) > cfg_.degree_cap) {
+      valid_ = false;
+      return;
+    }
+    materialize_stars();
+  }
+  for (int w : ws) {
+    DIRANT_ASSERT(present_[w]);
+    present_[w] = 0;
+  }
+  present_count_ -= static_cast<int>(ws.size());
+  // Every component borders every star on top of its explicit boundary.
+  const int stars = static_cast<int>(stars_.size());
+  if (stars > cfg_.degree_cap) {
+    valid_ = false;
     return;
   }
   int max_id = 0;
@@ -117,7 +159,7 @@ void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
     while (j < boundary_.size() && boundary_[j].first == boundary_[i].first) {
       ++j;
     }
-    if (static_cast<int>(j - i) > cfg_.degree_cap) {
+    if (static_cast<int>(j - i) + stars > cfg_.degree_cap) {
       for (int w : ws) mark_[w] = 0;
       valid_ = false;
       return;
@@ -134,16 +176,44 @@ void DelaunayEdgePool::erase_nodes(std::span<const int> ws) {
   merge_additions();
 }
 
-void DelaunayEdgePool::insert_node(int v, std::span<const char> alive) {
+void DelaunayEdgePool::insert_node(int v) {
   if (!valid_) return;
-  DIRANT_ASSERT(v >= 0 && v < static_cast<int>(alive.size()) && alive[v]);
+  DIRANT_ASSERT(v >= 0 && v < static_cast<int>(present_.size()) &&
+                !present_[v]);
+  // v is absent, so no explicit edge touches it: the star is disjoint from
+  // the explicit list, which keeps size() exact.
+  present_[v] = 1;
+  ++present_count_;
+  is_star_[v] = 1;
+  stars_.push_back(v);
+}
+
+void DelaunayEdgePool::materialize_stars() {
+  if (stars_.empty()) return;
+  // Emit every pair touching a star in (u, v) order, each once: a star u
+  // pairs with every present v > u, a non-star u with every star v > u.
+  std::sort(stars_.begin(), stars_.end());
   additions_.clear();
-  const int n = static_cast<int>(alive.size());
+  const int n = static_cast<int>(present_.size());
+  size_t first_above = 0;  // index of the first star > u
   for (int u = 0; u < n; ++u) {
-    if (u == v || !alive[u]) continue;
-    additions_.emplace_back(std::min(u, v), std::max(u, v));
+    if (!present_[u]) continue;
+    while (first_above < stars_.size() && stars_[first_above] <= u) {
+      ++first_above;
+    }
+    if (is_star_[u]) {
+      for (int v = u + 1; v < n; ++v) {
+        if (present_[v]) additions_.emplace_back(u, v);
+      }
+    } else {
+      for (size_t s = first_above; s < stars_.size(); ++s) {
+        additions_.emplace_back(u, stars_[s]);
+      }
+    }
   }
-  merge_additions();
+  for (int v : stars_) is_star_[v] = 0;
+  stars_.clear();
+  merge_sorted_additions();
 }
 
 void DelaunayEdgePool::merge_additions() {
@@ -151,6 +221,11 @@ void DelaunayEdgePool::merge_additions() {
   std::sort(additions_.begin(), additions_.end());
   additions_.erase(std::unique(additions_.begin(), additions_.end()),
                    additions_.end());
+  merge_sorted_additions();
+}
+
+void DelaunayEdgePool::merge_sorted_additions() {
+  if (additions_.empty()) return;
   merged_.clear();
   merged_.reserve(pool_.size() + additions_.size());
   size_t i = 0, j = 0;

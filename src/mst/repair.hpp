@@ -25,14 +25,36 @@
 ///   * insert v:  Del(S∪{v}) ⊆ Del(S) ∪ {v-incident edges} — so add v×alive.
 ///   * move = delete(old id) + insert(new position), ids unchanged.
 ///
+/// Inserts are lazy.  `insert_node(v)` is O(1): it records v as a *star*
+/// node, standing for the edges v × (present nodes), instead of writing
+/// them.  The pool is the explicit sorted list (which never holds an edge
+/// incident to a star node — a star is inserted absent, and closures add
+/// no star pairs) plus every star's edges, so its exact size is
+///
+///     |explicit| + |I|·(|P| − 1) − C(|I|, 2)
+///
+/// for star set I and present set P.  The deletion rule reads the stars
+/// without writing them: a non-star w has pool degree |explicit nbrs| +
+/// |I|, and only explicit × explicit closure pairs are new, since each
+/// star already covers every pair it touches.  A star's own degree is
+/// |P| − 1, so erasing one (or a set containing one, whose single
+/// component then borders every survivor) invalidates at once above the
+/// cap; below it the stars are written out first.  Stars are written into
+/// the list only when a valid pool's `edges()` are read.
+///
 /// Superset-ness is free but not unbounded: inserts add O(alive) edges and
 /// deletes add O(deg²), so the pool degrades toward the complete graph under
 /// sustained churn.  Guards invalidate the pool (forcing the caller to
 /// escalate to a full re-plan, which reseeds it from a fresh triangulation)
 /// when an erased node's pool degree exceeds `degree_cap` or the pool size
-/// crosses `size_factor * alive + size_slack`.  All guards are functions of
-/// the event sequence alone — deterministic and thread-count independent.
+/// crosses `size_factor * alive + size_slack` — with a near-planar explicit
+/// list (≈ 3·alive edges), four stars cross it once alive exceeds ~40, so a
+/// batch with more inserts than that never pays for writing them.  All
+/// guards are functions of the event sequence alone — deterministic,
+/// thread-count independent, and identical to a pool that writes every
+/// insert out eagerly.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -61,51 +83,68 @@ class DelaunayEdgePool {
  public:
   explicit DelaunayEdgePool(EdgePoolConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Drop all edges and mark the pool invalid (caller must reseed).
-  void reset();
-
   /// Seed from a triangulation's edge list given in a compact index space;
-  /// `orig_of` maps compact ids to original ids (nullptr = identity).  The
-  /// pool becomes valid.
-  void seed(std::span<const std::pair<int, int>> edges, const int* orig_of);
+  /// `orig_of` maps compact ids to original ids (nullptr = identity).
+  /// `present` is the original-space mask of the nodes the pool spans (the
+  /// alive set); every edge endpoint must be present.  The pool becomes
+  /// valid.
+  void seed(std::span<const std::pair<int, int>> edges, const int* orig_of,
+            std::span<const char> present);
 
   /// True while the maintained superset invariant holds.  Operations on an
   /// invalid pool are no-ops; `seed` restores validity.
   bool valid() const { return valid_; }
   void invalidate() { valid_ = false; }
 
-  /// Remove every edge incident to `w` and close its neighbour set (all
-  /// pairs).  Invalidates the pool instead when w's degree exceeds the cap.
+  /// Remove every edge incident to the present node `w` and close its
+  /// neighbour set (all pairs).  Invalidates the pool instead when w's
+  /// degree exceeds the cap.
   void erase_node(int w);
 
-  /// Batched erase: one pool scan for the whole set instead of one per
-  /// node.  The closure is computed per *connected component* of the
-  /// erased set (through pool edges): all pairs of each component's
-  /// surviving boundary — exactly the edge set sequential `erase_node`
-  /// calls would leave behind, since intermediate pairs between erased
-  /// nodes are themselves erased later in the sequence.  Invalidates the
-  /// pool when a component's boundary exceeds the degree cap.
+  /// Batched erase of distinct present nodes: one pool scan for the whole
+  /// set instead of one per node.  The closure is computed per *connected
+  /// component* of the erased set (through pool edges): all pairs of each
+  /// component's surviving boundary — exactly the edge set sequential
+  /// `erase_node` calls would leave behind, since intermediate pairs between
+  /// erased nodes are themselves erased later in the sequence.  Invalidates
+  /// the pool when a component's boundary exceeds the degree cap.
   void erase_nodes(std::span<const int> ws);
 
-  /// Add v × {u : alive[u], u != v}.  Call with alive[v] already set; the
-  /// pool's endpoints-alive invariant is the caller's event loop contract.
-  void insert_node(int v, std::span<const char> alive);
+  /// Add v × {present nodes} and make v present, in O(1) (v becomes a star;
+  /// see file comment).  v must not be present: the caller erases a moving
+  /// node before re-inserting it.
+  void insert_node(int v);
+
+  /// Exact edge count, stars included.  Meaningful while valid.
+  std::size_t size() const {
+    const std::size_t i = stars_.size();
+    const std::size_t p = static_cast<std::size_t>(present_count_);
+    return pool_.size() + i * (p - 1) - i * (i - 1) / 2;
+  }
 
   /// Size guard against the alive count (see EdgePoolConfig).
   bool oversized(int alive_count) const {
-    return static_cast<double>(pool_.size()) >
+    return static_cast<double>(size()) >
            cfg_.size_factor * alive_count + cfg_.size_slack;
   }
 
-  /// The candidate edges, sorted by (u, v) with u < v, unique.
-  std::span<const std::pair<int, int>> edges() const { return pool_; }
+  /// The candidate edges, sorted by (u, v) with u < v, unique.  On a valid
+  /// pool this writes the pending stars into the list first.
+  std::span<const std::pair<int, int>> edges() {
+    if (valid_) materialize_stars();
+    return pool_;
+  }
 
   const EdgePoolConfig& config() const { return cfg_; }
 
  private:
-  /// Sort+dedup `additions_` and merge it into the sorted pool (one pass
-  /// into the double buffer, adjacent-duplicate skip).
+  /// Write v × present for every star v into the explicit list.
+  void materialize_stars();
+  /// Sort+dedup `additions_`, then merge it into the pool.
   void merge_additions();
+  /// Merge the sorted, unique `additions_` into the sorted pool (one pass
+  /// into the double buffer, adjacent-duplicate skip).
+  void merge_sorted_additions();
 
   std::vector<std::pair<int, int>> pool_;       ///< sorted, unique, u < v
   std::vector<std::pair<int, int>> additions_;  ///< staged new edges
@@ -114,6 +153,10 @@ class DelaunayEdgePool {
   std::vector<int> mark_;      ///< orig id -> local erased index + 1 (0 = no)
   std::vector<int> uf_;        ///< union-find over the erased set
   std::vector<std::pair<int, int>> boundary_;   ///< (component root, survivor)
+  std::vector<char> present_;  ///< orig id -> node is in the pool's node set
+  int present_count_ = 0;
+  std::vector<char> is_star_;  ///< orig id -> pending star
+  std::vector<int> stars_;     ///< pending stars, insertion order
   bool valid_ = false;
   EdgePoolConfig cfg_;
 };

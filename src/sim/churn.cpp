@@ -180,7 +180,7 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
             alive_[e.node] = 1;
             ++alive_count_;
             flush_fails();
-            pool_edges_.insert_node(e.node, alive_);
+            pool_edges_.insert_node(e.node);
             recovered_[e.node] = 1;
             changed_pos_[e.node] = 1;
           }
@@ -191,7 +191,7 @@ const StepReport& ChurnEngine::step(std::span<const ChurnEvent> events) {
             flush_fails();
             pool_edges_.erase_node(e.node);
             positions_[e.node] = e.to;
-            pool_edges_.insert_node(e.node, alive_);
+            pool_edges_.insert_node(e.node);
             moved_[e.node] = 1;
             changed_pos_[e.node] = 1;
           }
@@ -466,7 +466,7 @@ void ChurnEngine::reseed_pool() {
   auto& es = session_.emst_scratch();
   if (es.last_kind == mst::EngineKind::kDelaunayKruskal ||
       es.last_kind == mst::EngineKind::kBoruvka) {
-    pool_edges_.seed(es.candidates.edges, orig_of_.data());
+    pool_edges_.seed(es.candidates.edges, orig_of_.data(), alive_);
   } else {
     // Prim ran (small or degenerate input): the candidate buffer is absent
     // or stale, so the pool stays invalid and the next step escalates too.

@@ -5,6 +5,13 @@
 //     invalidation on erase, the oversized guard + reseed semantics, and
 //     the disconnected-pool contract violation that sim::ChurnEngine maps
 //     to the "pool-disconnected" escalation.
+//   * The lazy-star pool against MaterializedPool, a test-local copy of the
+//     pool that writes every insert out eagerly: random interleavings of
+//     seed / insert / erase / batched erase must agree on validity, size,
+//     the oversized guard and the edge set after every operation.
+//   * The engine's escalation reasons on insert-heavy batches: many moves
+//     end "pool-invalid", a recover wave "pool-oversized", and a single
+//     insert stays on the pool path — each matching a from-scratch plan.
 //   * A 100%-move parity sweep: every event in every batch is a kMove,
 //     and after each batch the engine must match a from-scratch
 //     orient()+certify() bit for bit at every thread count — mobility is
@@ -23,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -62,20 +70,24 @@ std::vector<std::pair<int, int>> star_edges(int leaves) {
   return edges;
 }
 
+// Every one of nodes 0..n-1 present.
+std::vector<char> all_present(int n) { return std::vector<char>(n, 1); }
+
 TEST(EdgePool, EraseAboveDegreeCapInvalidates) {
   // Erasing a node whose pool degree exceeds the cap must invalidate the
   // pool (the O(deg^2) neighbour closure is the thing being refused), not
   // throw and not silently drop candidates.
   mst::DelaunayEdgePool pool;  // default degree_cap = 64
   const auto edges = star_edges(70);
-  pool.seed(edges, nullptr);
+  const auto present = all_present(71);
+  pool.seed(edges, nullptr, present);
   ASSERT_TRUE(pool.valid());
   pool.erase_node(0);
   EXPECT_FALSE(pool.valid()) << "degree 70 > cap 64 must invalidate";
   // Operations on an invalid pool are no-ops until reseeded.
   pool.erase_node(1);
   EXPECT_FALSE(pool.valid());
-  pool.seed(edges, nullptr);
+  pool.seed(edges, nullptr, present);
   EXPECT_TRUE(pool.valid()) << "seed must restore validity";
 }
 
@@ -84,7 +96,7 @@ TEST(EdgePool, EraseBelowDegreeCapClosesNeighbours) {
   // pairs of the erased node's former neighbours.
   mst::DelaunayEdgePool pool;
   const int leaves = 10;
-  pool.seed(star_edges(leaves), nullptr);
+  pool.seed(star_edges(leaves), nullptr, all_present(leaves + 1));
   pool.erase_node(0);
   ASSERT_TRUE(pool.valid());
   // 0's edges are gone; the closure is the complete graph on 1..leaves.
@@ -102,11 +114,11 @@ TEST(EdgePool, OversizedGuardAgainstAliveCount) {
   // guard is the caller's reseed trigger: sim::ChurnEngine escalates with
   // "pool-oversized" and reseeds from a fresh triangulation.
   mst::DelaunayEdgePool pool;
-  pool.seed(star_edges(70), nullptr);  // 70 edges
+  pool.seed(star_edges(70), nullptr, all_present(71));  // 70 edges
   EXPECT_TRUE(pool.oversized(2)) << "70 > 6*2 + 32";
   EXPECT_FALSE(pool.oversized(10)) << "70 <= 6*10 + 32";
   // Reseeding replaces the bloated candidate set wholesale.
-  pool.seed(star_edges(5), nullptr);
+  pool.seed(star_edges(5), nullptr, all_present(6));
   EXPECT_EQ(pool.edges().size(), 5u);
   EXPECT_FALSE(pool.oversized(2));
 }
@@ -121,6 +133,367 @@ TEST(EdgePool, DisconnectedCandidateSetThrowsForKruskal) {
   EXPECT_THROW(mst::kruskal_emst(pts, split), contract_violation);
   const std::vector<std::pair<int, int>> connected{{0, 1}, {1, 2}, {2, 3}};
   EXPECT_EQ(mst::kruskal_emst(pts, connected).edges.size(), 3u);
+}
+
+// ---------------------------------------------------------------------
+// Lazy stars vs the materialising pool.
+// ---------------------------------------------------------------------
+
+// The pool as it was before inserts became lazy: insert_node writes
+// v × alive into the sorted list at once.  Kept as the oracle the lazy
+// pool must match operation for operation (validity, size, edge set).
+class MaterializedPool {
+ public:
+  explicit MaterializedPool(mst::EdgePoolConfig cfg = {}) : cfg_(cfg) {}
+
+  void seed(std::span<const std::pair<int, int>> edges) {
+    pool_.clear();
+    for (const auto& [a, b] : edges) {
+      pool_.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    std::sort(pool_.begin(), pool_.end());
+    pool_.erase(std::unique(pool_.begin(), pool_.end()), pool_.end());
+    valid_ = true;
+  }
+
+  bool valid() const { return valid_; }
+  std::size_t size() const { return pool_.size(); }
+  bool oversized(int alive_count) const {
+    return static_cast<double>(pool_.size()) >
+           cfg_.size_factor * alive_count + cfg_.size_slack;
+  }
+  const std::vector<std::pair<int, int>>& edges() const { return pool_; }
+
+  void erase_node(int w) {
+    if (!valid_) return;
+    std::vector<int> nbrs;
+    std::vector<std::pair<int, int>> kept;
+    for (const auto& e : pool_) {
+      if (e.first == w) {
+        nbrs.push_back(e.second);
+      } else if (e.second == w) {
+        nbrs.push_back(e.first);
+      } else {
+        kept.push_back(e);
+      }
+    }
+    pool_.swap(kept);
+    if (static_cast<int>(nbrs.size()) > cfg_.degree_cap) {
+      valid_ = false;
+      return;
+    }
+    std::vector<std::pair<int, int>> additions;
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      for (size_t j = i + 1; j < nbrs.size(); ++j) {
+        additions.emplace_back(std::min(nbrs[i], nbrs[j]),
+                               std::max(nbrs[i], nbrs[j]));
+      }
+    }
+    merge(additions);
+  }
+
+  // Per erased component (through pool edges): all pairs of its surviving
+  // boundary; a boundary above the cap invalidates.
+  void erase_nodes(std::span<const int> ws) {
+    if (!valid_ || ws.empty()) return;
+    if (ws.size() == 1) {
+      erase_node(ws.front());
+      return;
+    }
+    const auto local = [&](int u) {
+      const auto it = std::find(ws.begin(), ws.end(), u);
+      return it == ws.end() ? -1 : static_cast<int>(it - ws.begin());
+    };
+    std::vector<int> uf(ws.size());
+    for (size_t i = 0; i < uf.size(); ++i) uf[i] = static_cast<int>(i);
+    const auto find = [&](int x) {
+      while (uf[x] != x) x = uf[x];
+      return x;
+    };
+    std::vector<std::pair<int, int>> kept, boundary;
+    for (const auto& e : pool_) {
+      const int lu = local(e.first), lv = local(e.second);
+      if (lu < 0 && lv < 0) {
+        kept.push_back(e);
+      } else if (lu >= 0 && lv >= 0) {
+        uf[find(lu)] = find(lv);
+      } else if (lu >= 0) {
+        boundary.emplace_back(lu, e.second);
+      } else {
+        boundary.emplace_back(lv, e.first);
+      }
+    }
+    pool_.swap(kept);
+    for (auto& [l, survivor] : boundary) l = find(l);
+    std::sort(boundary.begin(), boundary.end());
+    boundary.erase(std::unique(boundary.begin(), boundary.end()),
+                   boundary.end());
+    std::vector<std::pair<int, int>> additions;
+    for (size_t i = 0, j = 0; i < boundary.size(); i = j) {
+      while (j < boundary.size() && boundary[j].first == boundary[i].first) {
+        ++j;
+      }
+      if (static_cast<int>(j - i) > cfg_.degree_cap) {
+        valid_ = false;
+        return;
+      }
+      for (size_t a = i; a < j; ++a) {
+        for (size_t b = a + 1; b < j; ++b) {
+          additions.emplace_back(
+              std::min(boundary[a].second, boundary[b].second),
+              std::max(boundary[a].second, boundary[b].second));
+        }
+      }
+    }
+    merge(additions);
+  }
+
+  void insert_node(int v, std::span<const char> alive) {
+    if (!valid_) return;
+    std::vector<std::pair<int, int>> additions;
+    for (int u = 0; u < static_cast<int>(alive.size()); ++u) {
+      if (u != v && alive[u]) {
+        additions.emplace_back(std::min(u, v), std::max(u, v));
+      }
+    }
+    merge(additions);
+  }
+
+ private:
+  void merge(std::vector<std::pair<int, int>>& additions) {
+    std::sort(additions.begin(), additions.end());
+    const auto mid = pool_.insert(pool_.end(), additions.begin(),
+                                  additions.end());
+    std::inplace_merge(pool_.begin(), mid, pool_.end());
+    pool_.erase(std::unique(pool_.begin(), pool_.end()), pool_.end());
+  }
+
+  std::vector<std::pair<int, int>> pool_;
+  bool valid_ = false;
+  mst::EdgePoolConfig cfg_;
+};
+
+TEST(EdgePool, LazyStarsMatchMaterializedPool) {
+  // Random interleavings of seed / insert / erase / batched erase (plus
+  // moves = erase + insert of one node, and engine-style edges() reads that
+  // write the stars out) drive both pools; after every operation they must
+  // agree on validity and, while valid, on size, the oversized guard and
+  // the edge set.  The lazy pool is compared through a copy so the
+  // comparison itself never writes its stars out.  Erase targets favour
+  // nodes inserted since the last write-out, so recover-then-fail and
+  // move-after-recover of one node happen often.  At the default cap of
+  // 64, n = 40 keeps a star's degree under the cap and n = 300 puts it
+  // over; up to 80 inserts per sequence put the star count itself on both
+  // sides of the cap.
+  struct Coverage {
+    int star_erased_kept = 0;     // star erased, pool stays valid
+    int star_erased_invalid = 0;  // star erased, pool invalidated
+    int stars_over_cap = 0;       // erase with more stars than the cap
+    int erase_with_stars = 0;     // valid erase while stars are pending
+    int batch_with_star = 0;      // batched erase containing a star
+    int stars_tip_cap = 0;        // stars <= cap < stars + explicit degree
+    int oversized = 0;            // valid pool over its size guard
+  } cov;
+  geom::Rng rng(20261019);
+  const auto pick = [&rng](int k) { return static_cast<int>(rng() % k); };
+  for (int n : {40, 80, 300}) {
+    for (int seq = 0; seq < 40; ++seq) {
+      // Odd sequences use a cap of 8, so that star counts just under the
+      // cap, which only the explicit neighbours push over it, are common.
+      mst::EdgePoolConfig cfg;
+      cfg.degree_cap = seq % 2 == 0 ? 64 : 8;
+      mst::DelaunayEdgePool lazy(cfg);
+      MaterializedPool oracle(cfg);
+      std::vector<char> alive(n, 0);
+      std::vector<int> recent;  // inserted since the last write-out
+      const auto present_nodes = [&] {
+        std::vector<int> p;
+        for (int u = 0; u < n; ++u) {
+          if (alive[u]) p.push_back(u);
+        }
+        return p;
+      };
+      const int dead_in_ten = 1 + pick(5);  // 10%..50% dead at each seed
+      const auto reseed = [&] {
+        // A sparse random graph over a random alive set.
+        for (int u = 0; u < n; ++u) alive[u] = pick(10) >= dead_in_ten;
+        const auto p = present_nodes();
+        std::vector<std::pair<int, int>> edges;
+        for (size_t i = 0; i + 1 < p.size(); ++i) {
+          for (int k = 0; k < 3; ++k) {
+            const int j = static_cast<int>(i) + 1 +
+                          pick(static_cast<int>(p.size() - i - 1));
+            edges.emplace_back(p[i], p[j]);
+          }
+        }
+        lazy.seed(edges, nullptr, alive);
+        oracle.seed(edges);
+        recent.clear();
+      };
+      const auto compare = [&](const char* op) {
+        ASSERT_EQ(lazy.valid(), oracle.valid()) << op << " n=" << n
+                                                << " seq=" << seq;
+        if (!lazy.valid()) return;
+        const int alive_count =
+            static_cast<int>(std::count(alive.begin(), alive.end(), 1));
+        ASSERT_EQ(lazy.size(), oracle.size()) << op;
+        ASSERT_EQ(lazy.oversized(alive_count), oracle.oversized(alive_count))
+            << op;
+        cov.oversized += oracle.oversized(alive_count) ? 1 : 0;
+        mst::DelaunayEdgePool copy = lazy;
+        const auto got = copy.edges();
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), oracle.edges().begin(),
+                               oracle.edges().end()))
+            << op << " n=" << n << " seq=" << seq;
+      };
+      // Erase target: a recent insert half the time, else any alive node.
+      const auto pick_alive = [&] {
+        if (!recent.empty() && pick(2) == 0) {
+          return recent[pick(static_cast<int>(recent.size()))];
+        }
+        const auto p = present_nodes();
+        return p.empty() ? -1 : p[pick(static_cast<int>(p.size()))];
+      };
+      // After an erase: a star erase that leaves the pool valid wrote every
+      // star out; otherwise only w leaves the pending set.
+      const auto forget = [&](int w, bool star) {
+        if (star && lazy.valid()) {
+          recent.clear();
+        } else {
+          recent.erase(std::remove(recent.begin(), recent.end(), w),
+                       recent.end());
+        }
+      };
+      const auto recover_one = [&] {
+        std::vector<int> dead;
+        for (int u = 0; u < n; ++u) {
+          if (!alive[u]) dead.push_back(u);
+        }
+        if (dead.empty()) return false;
+        const int v = dead[pick(static_cast<int>(dead.size()))];
+        const bool was_valid = lazy.valid();
+        alive[v] = 1;
+        lazy.insert_node(v);
+        oracle.insert_node(v, alive);
+        if (was_valid) recent.push_back(v);
+        return true;
+      };
+      const auto note_erase = [&](bool star, bool was_valid, int stars) {
+        if (!was_valid) return;
+        if (star) {
+          (lazy.valid() ? cov.star_erased_kept : cov.star_erased_invalid)++;
+        }
+        const int cap = lazy.config().degree_cap;
+        if (stars > cap) ++cov.stars_over_cap;
+        if (stars > 0 && lazy.valid()) ++cov.erase_with_stars;
+        if (!star && stars > 0 && stars <= cap && !lazy.valid()) {
+          ++cov.stars_tip_cap;
+        }
+      };
+      reseed();
+      compare("seed");
+      if (HasFatalFailure()) return;
+      // An opening recover burst stacks up pending stars; every fourth
+      // sequence spends its whole budget there, past the degree cap.
+      const bool long_burst = seq % 4 == 0;
+      int insert_budget = long_burst ? 60 + pick(21) : pick(81);
+      for (int burst = long_burst ? insert_budget : pick(insert_budget + 1);
+           burst > 0; --burst) {
+        if (!recover_one()) break;
+        --insert_budget;
+        compare("burst");
+        if (HasFatalFailure()) return;
+      }
+      for (int op = 0; op < 160; ++op) {
+        const int r = pick(100);
+        const bool was_valid = lazy.valid();
+        const int stars = static_cast<int>(recent.size());
+        if (!was_valid && r < 30) {
+          reseed();
+          compare("reseed");
+        } else if (r < 45 && insert_budget > 0) {
+          if (!recover_one()) continue;
+          --insert_budget;
+          compare("insert");
+        } else if (r < 60 && insert_budget > 0) {
+          // Move: erase then re-insert the same node.
+          const int v = pick_alive();
+          if (v < 0) continue;
+          const bool star = was_valid &&
+                            std::find(recent.begin(), recent.end(), v) !=
+                                recent.end();
+          alive[v] = 0;
+          lazy.erase_node(v);
+          oracle.erase_node(v);
+          note_erase(star, was_valid, stars);
+          forget(v, star);
+          compare("move-erase");
+          alive[v] = 1;
+          --insert_budget;
+          const bool still_valid = lazy.valid();
+          lazy.insert_node(v);
+          oracle.insert_node(v, alive);
+          if (still_valid) recent.push_back(v);
+          compare("move-insert");
+        } else if (r < 80) {
+          const int w = pick_alive();
+          if (w < 0) continue;
+          const bool star = was_valid &&
+                            std::find(recent.begin(), recent.end(), w) !=
+                                recent.end();
+          alive[w] = 0;
+          lazy.erase_node(w);
+          oracle.erase_node(w);
+          note_erase(star, was_valid, stars);
+          forget(w, star);
+          compare("erase");
+        } else if (r < 92) {
+          // Batched fails: 2..6 distinct alive nodes.
+          std::vector<int> ws;
+          const int want = 2 + pick(5);
+          for (int t = 0; t < 4 * want && static_cast<int>(ws.size()) < want;
+               ++t) {
+            const int w = pick_alive();
+            if (w >= 0 && std::find(ws.begin(), ws.end(), w) == ws.end()) {
+              ws.push_back(w);
+            }
+          }
+          if (ws.empty()) continue;
+          bool star = false;
+          for (int w : ws) {
+            star = star || std::find(recent.begin(), recent.end(), w) !=
+                               recent.end();
+            alive[w] = 0;
+          }
+          lazy.erase_nodes(ws);
+          oracle.erase_nodes(ws);
+          if (was_valid && star) ++cov.batch_with_star;
+          note_erase(star && ws.size() == 1, was_valid, stars);
+          for (int w : ws) forget(w, star);
+          compare("erase_nodes");
+        } else {
+          // An engine-style read: writes the stars out.
+          if (lazy.valid()) {
+            const auto got = lazy.edges();
+            ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                   oracle.edges().begin(),
+                                   oracle.edges().end()));
+          }
+          recent.clear();
+          compare("read");
+        }
+        if (HasFatalFailure()) return;  // compare() stops only itself
+        if (!lazy.valid()) recent.clear();
+      }
+    }
+  }
+  EXPECT_GT(cov.star_erased_kept, 0);
+  EXPECT_GT(cov.star_erased_invalid, 0);
+  EXPECT_GT(cov.stars_over_cap, 0);
+  EXPECT_GT(cov.erase_with_stars, 0);
+  EXPECT_GT(cov.batch_with_star, 0);
+  EXPECT_GT(cov.stars_tip_cap, 0);
+  EXPECT_GT(cov.oversized, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -300,6 +673,77 @@ TEST(ChurnSublinear, OversizedPoolReseedsAndRecovers) {
   EXPECT_EQ(eng.last_report().escalation, nullptr)
       << "engine did not return to the incremental path after the reseed";
   EXPECT_TRUE(eng.last_report().incremental_plan);
+}
+
+// The escalation reasons of insert-heavy batches are a function of the
+// pool's exact size and degrees, so lazy stars must leave every one as the
+// materialising pool had it.
+
+TEST(ChurnSublinear, ManyMovesInOneBatchEndPoolInvalid) {
+  // Each move leaves a pending star; once a later mover's degree (its
+  // explicit neighbours plus every star) passes the cap of 64, its erase
+  // invalidates the pool.
+  const core::ProblemSpec spec{2, kPi};
+  const auto pts = make_points(400, 7001);
+  for_each_thread_count([&](int t) {
+    sim::ChurnEngine eng;
+    eng.set_threads(t);
+    eng.init(pts, spec);
+    std::vector<sim::ChurnEvent> events;
+    for (int i = 0; i < 72; ++i) {
+      const int node = 5 * i;
+      geom::Point to = eng.positions()[node];
+      to.x += 0.004;
+      events.push_back({sim::ChurnEventKind::kMove, node, to});
+    }
+    const auto& rep = eng.step(events);
+    for (const auto& ev : rep.events) ASSERT_TRUE(ev.applied);
+    ASSERT_NE(rep.escalation, nullptr);
+    EXPECT_STREQ(rep.escalation, "pool-invalid") << "threads " << t;
+    expect_matches_from_scratch(eng, spec, t, 1);
+  });
+}
+
+// Fails `failed` (batch 1), then recovers the first `recovered` of them
+// (batch 2); returns batch 2's escalation reason.
+const char* recover_wave_escalation(const std::vector<geom::Point>& pts,
+                                    int failed, int recovered, int threads) {
+  const core::ProblemSpec spec{2, kPi};
+  sim::ChurnEngine eng;
+  eng.set_threads(threads);
+  eng.init(pts, spec);
+  std::vector<sim::ChurnEvent> events;
+  for (int i = 0; i < failed; ++i) {
+    events.push_back({sim::ChurnEventKind::kFail, 11 * i + 3, {}});
+  }
+  eng.step(events);
+  expect_matches_from_scratch(eng, spec, threads, 1);
+  events.resize(recovered);
+  for (auto& e : events) e.kind = sim::ChurnEventKind::kRecover;
+  const auto& rep = eng.step(events);
+  for (const auto& ev : rep.events) EXPECT_TRUE(ev.applied);
+  expect_matches_from_scratch(eng, spec, threads, 2);
+  return rep.escalation;
+}
+
+TEST(ChurnSublinear, RecoverWaveEndsPoolOversized) {
+  // Four stars over ~300 nodes put the pool past 6·alive + 32.
+  const auto pts = make_points(300, 7002);
+  for_each_thread_count([&](int t) {
+    const char* esc = recover_wave_escalation(pts, 12, 4, t);
+    ASSERT_NE(esc, nullptr);
+    EXPECT_STREQ(esc, "pool-oversized") << "threads " << t;
+  });
+}
+
+TEST(ChurnSublinear, SingleInsertTakesThePoolPath) {
+  // One star stays under the size guard: the batch re-plans from the pool
+  // (its stars written out) without escalating.
+  const auto pts = make_points(300, 7003);
+  for_each_thread_count([&](int t) {
+    EXPECT_EQ(recover_wave_escalation(pts, 12, 1, t), nullptr)
+        << "threads " << t;
+  });
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Steady-state allocation contract of core::PlanSession: the second
 // orient() through a warm session — and every subsequent instance a batch
 // worker streams through one — performs zero heap allocations for the
-// Table 1 tree regimes.  Enforced by replacing the global operator new with
-// a counting hook; the hook only counts while armed, so gtest's own
+// Table 1 tree regimes.  Enforced by the counting operator-new hook in
+// alloc_hook.cpp, which only counts while armed, so gtest's own
 // bookkeeping never pollutes the measurement.
 //
 // The bottleneck-cycle regimes (kBtspCycle / kBidirCycle: NP-hard machinery
@@ -14,12 +14,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <functional>
-#include <new>
+#include <string_view>
 #include <vector>
 
+#include "alloc_hook.hpp"
 #include "common/constants.hpp"
 #include "core/planner.hpp"
 #include "core/registry.hpp"
@@ -31,75 +29,10 @@
 
 namespace {
 
-std::atomic<long long> g_allocations{0};
-std::atomic<bool> g_armed{false};
-
-void note_allocation() {
-  if (g_armed.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace
-
-// Global operator new/delete replacements (test binary only).  Every form
-// funnels through malloc so mismatched pairs stay well-defined.
-void* operator new(std::size_t size) {
-  note_allocation();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  note_allocation();
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-// Aligned forms (C++17): an over-aligned member in any session scratch type
-// would route its allocations here — count them too, or the zero-allocation
-// assertion would have a blind spot.
-void* operator new(std::size_t size, std::align_val_t al) {
-  note_allocation();
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-namespace {
-
 namespace core = dirant::core;
 namespace geom = dirant::geom;
 using dirant::kPi;
-
-long long count_allocations(const std::function<void()>& body) {
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_armed.store(true, std::memory_order_relaxed);
-  body();
-  g_armed.store(false, std::memory_order_relaxed);
-  return g_allocations.load(std::memory_order_relaxed);
-}
+using dirant::test::count_allocations;
 
 // Every selectable tree regime of Table 1 (the btsp-cycle rows are the
 // documented exemption; phi values steer planned_algorithm to each regime).
@@ -288,11 +221,11 @@ TEST(SessionAllocation, WarmChurnLoopIsAllocationFree) {
   const dirant::core::ProblemSpec spec{2, kPi};
 
   // Six warm-up batches, then six counted ones (events pre-built so
-  // schedule generation never counts).  Returns whether every counted step
-  // took the full path: an escalated re-plan, a full digraph rebuild and
-  // an SCC pass instead of the cached certificate.
+  // schedule generation never counts).  Returns whether `expect_step` held
+  // on every counted step's report.
   const auto run_loop = [&](const std::vector<geom::Point>& pts,
-                            const std::vector<int>& movers) {
+                            const std::vector<int>& movers,
+                            const auto& expect_step) {
     dirant::sim::ChurnEngine eng;
     eng.init(pts, spec);
     const auto batch_for = [&](int b) {
@@ -309,19 +242,17 @@ TEST(SessionAllocation, WarmChurnLoopIsAllocationFree) {
     for (int b = 7; b <= 12; ++b) measured.push_back(batch_for(b));
     for (const auto& events : warm) eng.step(events);
 
-    bool all_full = true;
+    bool held = true;
     const long long allocs = count_allocations([&] {
       for (const auto& events : measured) {
-        const auto& r = eng.step(events);
-        all_full = all_full && r.escalation != nullptr &&
-                   !r.incremental_digraph && !r.cert_reused;
+        held = expect_step(eng.step(events)) && held;
       }
     });
     EXPECT_EQ(allocs, 0) << "warm churn loop allocated (n=" << pts.size()
                          << ")";
     EXPECT_EQ(eng.alive_count(), static_cast<int>(pts.size()));
     EXPECT_TRUE(eng.last_report().certificate.ok());
-    return all_full;
+    return held;
   };
 
   // Incremental path: three movers among 300 nodes.  The candidate pool
@@ -329,7 +260,18 @@ TEST(SessionAllocation, WarmChurnLoopIsAllocationFree) {
   geom::Rng rng(4242);
   const auto pts =
       geom::make_instance(geom::Distribution::kUniformSquare, 300, rng);
-  (void)run_loop(pts, {5, 17, 42});
+  (void)run_loop(pts, {5, 17, 42},
+                 [](const dirant::sim::StepReport&) { return true; });
+
+  // Insert-driven invalidation: 72 of the 300 nodes move in every batch, so
+  // the movers' pending pool stars push a later mover's erase degree past
+  // the cap and the pool invalidates mid-batch.
+  std::vector<int> many;
+  for (int i = 0; i < 72; ++i) many.push_back(4 * i);
+  EXPECT_TRUE(run_loop(pts, many, [](const dirant::sim::StepReport& r) {
+    return r.escalation != nullptr &&
+           std::string_view(r.escalation) == "pool-invalid";
+  })) << "every measured step must escalate with pool-invalid";
 
   // Escalated path with no option set: below the EMST engine's Prim
   // cutoff (64) every step re-plans in full, and moving every node makes
@@ -338,8 +280,12 @@ TEST(SessionAllocation, WarmChurnLoopIsAllocationFree) {
       geom::make_instance(geom::Distribution::kUniformSquare, 48, rng);
   std::vector<int> everyone(small.size());
   for (int i = 0; i < static_cast<int>(everyone.size()); ++i) everyone[i] = i;
-  EXPECT_TRUE(run_loop(small, everyone))
-      << "every measured step must take the full re-plan, rebuild and SCC";
+  EXPECT_TRUE(run_loop(small, everyone, [](const dirant::sim::StepReport& r) {
+    // The full path: an escalated re-plan, a full digraph rebuild and an
+    // SCC pass instead of the cached certificate.
+    return r.escalation != nullptr && !r.incremental_digraph &&
+           !r.cert_reused;
+  })) << "every measured step must take the full re-plan, rebuild and SCC";
 }
 
 TEST(SessionAllocation, BatchChunkPerWorkerIsAllocationFree) {
