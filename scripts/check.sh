@@ -41,9 +41,10 @@ CTEST_EXTRA=("$@")
 # fan-out, the pool-parallel Borůvka EMST, the trial-parallel audits, the
 # churn engine's pooled rebuild (both churn suites, including the
 # sub-linear warm-path acceptance tests), the traffic engine and its event
-# queue — with the same 4-worker pools, so data races (not just memory
-# errors) surface too.  All variants promote the -Wall -Wextra diagnostics
-# of the library and the test suites to errors (DIRANT_WERROR).  The
+# queue, and the pool's own claim tests (test_thread_pool) — with the same
+# 4-worker pools, so data races (not just memory errors) surface too.
+# All variants promote the -Wall -Wextra diagnostics of the library and
+# the test suites to errors (DIRANT_WERROR).  The
 # perfbench self-test runs last: the benchmark compiles against the
 # library's public headers, so an API change that breaks it fails here
 # rather than in the benchmark run.
@@ -54,7 +55,7 @@ run_variant build-asan "" -DCMAKE_BUILD_TYPE=Debug -DDIRANT_SANITIZE=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 DIRANT_TEST_THREADS=4 \
 run_variant build-tsan \
-    "test_csr_equivalence|test_batch|test_boruvka|test_audit_parallel|test_churn|test_churn_sublinear|test_traffic|test_event_queue" \
+    "test_csr_equivalence|test_batch|test_boruvka|test_audit_parallel|test_churn|test_churn_sublinear|test_traffic|test_event_queue|test_thread_pool" \
     -DCMAKE_BUILD_TYPE=Debug -DDIRANT_TSAN=ON -DDIRANT_WERROR=ON \
     -DDIRANT_BUILD_BENCHES=OFF -DDIRANT_BUILD_EXAMPLES=OFF
 

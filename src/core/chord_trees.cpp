@@ -26,7 +26,7 @@
 #include "core/session.hpp"
 #include "core/three_antennae.hpp"
 #include "geometry/angle.hpp"
-#include "mst/rooted.hpp"
+#include "mst/tree_view.hpp"
 
 namespace dirant::core {
 namespace {
@@ -56,17 +56,19 @@ void orient_chord_tree(std::span<const Point> pts, const mst::Tree& tree,
     root = static_cast<int>(std::max_element(deg.begin(), deg.end()) -
                             deg.begin());
   }
-  scratch.rooted.rebuild(tree, root);
-  const auto& rt = scratch.rooted;
+  // Preorder over the view (view id u), its points, rows at input ids.
+  const auto& view = scratch.root_tree(pts, tree, root);
+  const auto vp = view.points();
 
   auto& kids = scratch.kids;
-  for (int u : rt.preorder) {
+  for (int u = 0; u < n; ++u) {
     // Children in ccw order by absolute angle (cyclic; reference irrelevant).
-    mst::children_ccw_from(pts, rt, u, 0.0, kids);
+    mst::children_ccw_from(view, u, 0.0, kids);
     const int m = static_cast<int>(kids.size());
     if (m == 0) continue;
-    res.cases.bump("deg" + std::to_string(m + (rt.parent[u] >= 0 ? 1 : 0)) +
-                   (rt.parent[u] >= 0 ? "" : "-root"));
+    const bool has_parent = view.parent(u) >= 0;
+    res.cases.bump("deg" + std::to_string(m + (has_parent ? 1 : 0)) +
+                   (has_parent ? "" : "-root"));
 
     const int chords_needed = std::max(0, m - beams_budget);
     // is_chord_source[i]: child kids[i] covers kids[(i+1)%m] instead of u.
@@ -79,7 +81,7 @@ void orient_chord_tree(std::span<const Point> pts, const mst::Tree& tree,
       // All cyclic consecutive pairs, by chord length.
       SmallVec<std::pair<double, int>, 5> gaps;
       for (int i = 0; i < m; ++i) {
-        const double d = geom::dist(pts[kids[i]], pts[kids[(i + 1) % m]]);
+        const double d = geom::dist(vp[kids[i]], vp[kids[(i + 1) % m]]);
         gaps.emplace_back(d, i);
       }
       // Pairs give a total order (ties break on the index), so the stable
@@ -107,7 +109,8 @@ void orient_chord_tree(std::span<const Point> pts, const mst::Tree& tree,
       const int pred = (i + m - 1) % m;
       const bool receives_chord = chord_source[pred] == 1 && m >= 2;
       if (!receives_chord) {
-        res.orientation.add(u, geom::beam_to(pts[u], pts[kids[i]]));
+        res.orientation.add(view.input_id(u),
+                            geom::beam_to(vp[u], vp[kids[i]]));
         ++beams;
       }
     }
@@ -119,11 +122,13 @@ void orient_chord_tree(std::span<const Point> pts, const mst::Tree& tree,
       const int child = kids[i];
       if (chord_source[i]) {
         const int succ = kids[(i + 1) % m];
-        const double d = geom::dist(pts[child], pts[succ]);
+        const double d = geom::dist(vp[child], vp[succ]);
         DIRANT_ASSERT_MSG(d <= R, "chord exceeds range bound");
-        res.orientation.add(child, geom::beam_to(pts[child], pts[succ]));
+        res.orientation.add(view.input_id(child),
+                            geom::beam_to(vp[child], vp[succ]));
       } else {
-        res.orientation.add(child, geom::beam_to(pts[child], pts[u]));
+        res.orientation.add(view.input_id(child),
+                            geom::beam_to(vp[child], vp[u]));
       }
     }
   }

@@ -16,11 +16,10 @@ void orient_heterogeneous(std::span<const Point> pts, const mst::Tree& tree,
                           OrienterScratch& scratch, Result& res,
                           HeterogeneousReport& report) {
   DIRANT_ASSERT(budgets.size() == pts.size());
-  tree.degrees_into(scratch.degrees);
-  int max_deg = 0;
-  for (int d : scratch.degrees) max_deg = std::max(max_deg, d);
-  DIRANT_ASSERT_MSG(max_deg <= 5, "needs a degree-5 MST");
   const int n = static_cast<int>(pts.size());
+  const auto& adj = scratch.adjacency;
+  scratch.adjacency.build(tree);
+  DIRANT_ASSERT_MSG(adj.max_degree() <= 5, "needs a degree-5 MST");
 
   int max_k = 1;
   for (const auto& b : budgets) max_k = std::max(max_k, b.k);
@@ -30,18 +29,17 @@ void orient_heterogeneous(std::span<const Point> pts, const mst::Tree& tree,
   report.deficient.clear();
   report.missing_spread.clear();
 
-  tree.adjacency_into(scratch.adjacency);
-  const auto& adj = scratch.adjacency;
   bool feasible = true;
   for (int u = 0; u < n; ++u) {
-    const int d = static_cast<int>(adj[u].size());
+    const auto nbrs = adj.neighbors(u);
+    const int d = static_cast<int>(nbrs.size());
     if (d == 0) continue;
     const auto& b = budgets[u];
     DIRANT_ASSERT(b.k >= 1);
     auto& targets = scratch.targets;
     targets.clear();
     if (targets.capacity() < static_cast<size_t>(d)) targets.reserve(d);
-    for (int v : adj[u]) targets.push_back(pts[v]);
+    for (int v : nbrs) targets.push_back(pts[v]);
     lemma1_cover(pts[u], targets, b.k, scratch.lemma1, scratch.cover);
     double spread = 0.0;
     for (const auto& s : scratch.cover) spread += s.width;

@@ -11,7 +11,7 @@
 #include "common/small_vec.hpp"
 #include "core/session.hpp"
 #include "geometry/angle.hpp"
-#include "mst/rooted.hpp"
+#include "mst/tree_view.hpp"
 
 namespace dirant::core {
 namespace {
@@ -31,11 +31,11 @@ double one_antenna_mid_bound_factor(double phi) {
 void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
                             double phi, OrienterScratch& scratch,
                             Result& res) {
-  tree.degrees_into(scratch.degrees);
-  int max_deg = 0;
-  for (int d : scratch.degrees) max_deg = std::max(max_deg, d);
-  DIRANT_ASSERT_MSG(max_deg <= 5, "needs a degree-5 MST");
   const int n = static_cast<int>(pts.size());
+  const auto& view = scratch.tree;
+  if (n >= 1) scratch.root_tree(pts, tree);
+  DIRANT_ASSERT_MSG(n < 1 || scratch.adjacency.max_degree() <= 5,
+                    "needs a degree-5 MST");
   // The window construction never needs more range than max(bound, lmax);
   // for phi in [pi, 8pi/5) the bound 2 sin(pi - phi/2) is >= 2 sin(pi/5)
   // ~ 1.176 > 1, so the bound itself dominates.
@@ -45,27 +45,27 @@ void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
 
   const double R =
       res.bound_factor * res.lmax * (1.0 + kRadiusRelTol) + kRadiusAbsTol;
-  scratch.rooted.rebuild_at_leaf(tree);
-  const auto& rt = scratch.rooted;
-
-  const int root = rt.root;
-  const int first = rt.children[root][0];
-  res.orientation.add(root, geom::beam_to(pts[root], pts[first]));
+  // Traverse in view ids over the view's points; rows go to input ids.
+  const auto vp = view.points();
+  const int root = view.root();
+  const int first = view.children(root)[0];
+  res.orientation.add(view.input_id(root), geom::beam_to(vp[root], vp[first]));
   res.cases.bump("root");
 
   auto& work = scratch.work;
   work.clear();
-  work.emplace_back(first, pts[root]);
+  work.emplace_back(first, vp[root]);
   auto& kids = scratch.kids;
   while (!work.empty()) {
     const auto [u, target] = work.back();
     work.pop_back();
-    const double ref = geom::angle_to(pts[u], target);
-    mst::children_ccw_from(pts, rt, u, ref, kids);
+    const int uid = view.input_id(u);
+    const double ref = geom::angle_to(vp[u], target);
+    mst::children_ccw_from(view, u, ref, kids);
     const int m = static_cast<int>(kids.size());
 
     if (m == 0) {
-      res.orientation.add(u, geom::beam_to(pts[u], target));
+      res.orientation.add(uid, geom::beam_to(vp[u], target));
       res.cases.bump("leaf");
       continue;
     }
@@ -74,7 +74,7 @@ void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
     // Degree-bounded: every per-node buffer below is stack-inline.
     SmallVec<double, 5> off, abs_angle;
     for (int i = 0; i < m; ++i) {
-      abs_angle.push_back(geom::angle_to(pts[u], pts[kids[i]]));
+      abs_angle.push_back(geom::angle_to(vp[u], vp[kids[i]]));
       double d = geom::ccw_delta(ref, abs_angle[i]);
       if (d == 0.0) d = kTwoPi;
       off.push_back(d);
@@ -92,12 +92,12 @@ void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
       const auto& cover = scratch.lemma1.cover;
       if (cover.total_spread <= phi + kTol) {
         const auto [start, width] = cover.arcs[0];
-        double radius = geom::dist(pts[u], target);
+        double radius = geom::dist(vp[u], target);
         for (int i = 0; i < m; ++i) {
-          radius = std::max(radius, geom::dist(pts[u], pts[kids[i]]));
+          radius = std::max(radius, geom::dist(vp[u], vp[kids[i]]));
         }
-        res.orientation.add(u, geom::make_arc(pts[u], start, width, radius));
-        for (int i = 0; i < m; ++i) work.emplace_back(kids[i], pts[u]);
+        res.orientation.add(uid, geom::make_arc(vp[u], start, width, radius));
+        for (int i = 0; i < m; ++i) work.emplace_back(kids[i], vp[u]);
         res.cases.bump("full");
         continue;
       }
@@ -167,11 +167,11 @@ void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
     const double width = hi - lo;
     DIRANT_ASSERT(width <= phi + kTol);
     const double start_abs = geom::norm_angle(ref + best.start_off + lo);
-    double radius = geom::dist(pts[u], target);
+    double radius = geom::dist(vp[u], target);
     for (int i : covered_children) {
-      radius = std::max(radius, geom::dist(pts[u], pts[kids[i]]));
+      radius = std::max(radius, geom::dist(vp[u], vp[kids[i]]));
     }
-    res.orientation.add(u, geom::make_arc(pts[u], start_abs, width, radius));
+    res.orientation.add(uid, geom::make_arc(vp[u], start_abs, width, radius));
 
     // Delegation chain over the excluded children, ordered ccw from the
     // anchor; the anchor covers the first, each covers the next, the last
@@ -182,12 +182,12 @@ void orient_one_antenna_mid(std::span<const Point> pts, const mst::Tree& tree,
                                     geom::ccw_delta(off[best.anchor], off[b]);
                            });
     SmallVec<Point, 5> targets;
-    for (int i = 0; i < m; ++i) targets.push_back(pts[u]);
+    for (int i = 0; i < m; ++i) targets.push_back(vp[u]);
     int prev = best.anchor;
     for (int x : excluded) {
-      DIRANT_ASSERT_MSG(geom::dist(pts[kids[prev]], pts[kids[x]]) <= R,
+      DIRANT_ASSERT_MSG(geom::dist(vp[kids[prev]], vp[kids[x]]) <= R,
                         "delegation chord exceeds 2 sin(pi - phi/2)");
-      targets[prev] = pts[kids[x]];
+      targets[prev] = vp[kids[x]];
       prev = x;
     }
     for (int i = 0; i < m; ++i) work.emplace_back(kids[i], targets[i]);

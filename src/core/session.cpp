@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "antenna/orientation.hpp"
 #include "common/assert.hpp"
 #include "core/planner.hpp"
 #include "core/registry.hpp"
@@ -30,6 +31,42 @@ void check_tree_spans(std::span<const geom::Point> pts,
 }
 
 }  // namespace
+
+const mst::TreeView& OrienterScratch::root_tree(
+    std::span<const geom::Point> pts, const mst::Tree& t, int root) {
+  adjacency.build(t);
+  if (root < 0) {
+    tree.rebuild_at_leaf(pts, adjacency);
+  } else {
+    tree.rebuild(pts, adjacency, root);
+  }
+  return tree;
+}
+
+void StagedRows::reset(int n, int stride) {
+  stride_ = stride;
+  count_.assign(n, 0);
+  sectors_.resize(static_cast<size_t>(n) * stride);
+}
+
+void StagedRows::flush(const mst::TreeView& view,
+                       antenna::Orientation& o) const {
+  const int n = static_cast<int>(count_.size());
+  // The rows are read in view order of input ids, i.e. at random: fetch a
+  // few vertices ahead so the reads overlap.
+  constexpr int kAhead = 8;
+  const auto row_of = [&](int v) {
+    return sectors_.data() + static_cast<size_t>(v) * stride_;
+  };
+  for (int u = 0; u < n; ++u) {
+    if (u + kAhead < n) {
+      __builtin_prefetch(row_of(view.view_id(u + kAhead)));
+    }
+    const int v = view.view_id(u);
+    const geom::Sector* row = row_of(v);
+    for (int i = 0; i < count_[v]; ++i) o.add(u, row[i]);
+  }
+}
 
 PlanSession::PlanSession() = default;
 PlanSession::PlanSession(mst::EngineConfig engine_cfg)

@@ -33,14 +33,15 @@
 #include <span>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "core/heterogeneous.hpp"
 #include "core/lemma1.hpp"
 #include "core/types.hpp"
 #include "core/validate.hpp"
 #include "geometry/point.hpp"
 #include "mst/engine.hpp"
-#include "mst/rooted.hpp"
 #include "mst/tree.hpp"
+#include "mst/tree_view.hpp"
 
 namespace dirant::par {
 class ThreadPool;
@@ -55,19 +56,48 @@ namespace dirant::core {
 struct TwoAntennaeMemory;
 struct OrientWarmDelta;
 
+/// Sector rows staged per view vertex and written to an Orientation in
+/// input-id order.  An orienter that walks the tree view would otherwise
+/// scatter its writes over the orientation's per-vertex buckets; staged,
+/// the walk writes one flat array and the flush walks the buckets in
+/// order.  Each row keeps its sectors in the order they were staged, so
+/// the Orientation is identical to writing them directly.  Fixed stride
+/// (the most sectors one vertex gets); allocation-free once warm.
+class StagedRows {
+ public:
+  void reset(int n, int stride);
+  void add(int v, const geom::Sector& s) {
+    DIRANT_ASSERT(count_[v] < stride_);
+    sectors_[static_cast<size_t>(v) * stride_ + count_[v]++] = s;
+  }
+  /// Append every staged row of view vertex v to `o` at input_id(v).
+  void flush(const mst::TreeView& view, antenna::Orientation& o) const;
+
+ private:
+  int stride_ = 0;
+  std::vector<unsigned char> count_;
+  std::vector<geom::Sector> sectors_;
+};
+
 /// Working memory shared by the per-k orienters.  Owned by PlanSession;
 /// every orienter's `*_into` variant takes one of these and must not
 /// allocate once the buffers are warm.
 struct OrienterScratch {
-  mst::RootedTree rooted;                         ///< rooted traversal view
+  mst::TreeAdjacency adjacency;                   ///< tree neighbour lists
+  mst::TreeView tree;                             ///< rooted preorder view
+  StagedRows rows;                                ///< view-order sector rows
   std::vector<int> kids;                          ///< ccw child buffer
   std::vector<std::pair<int, geom::Point>> work;  ///< (vertex, target) stack
-  std::vector<std::vector<int>> adjacency;        ///< tree neighbour lists
   std::vector<int> degrees;                       ///< per-vertex degrees
   std::vector<geom::Point> targets;               ///< per-node cover targets
   std::vector<geom::Sector> cover;                ///< lemma1_cover output
   std::vector<int> parent_hint;  ///< warm orienter's per-vertex parent view
   Lemma1Scratch lemma1;
+
+  /// Build `adjacency` for `t` and root `tree` at input vertex `root`, or
+  /// at the lowest-index leaf when `root` < 0.  Needs t.n >= 1.
+  const mst::TreeView& root_tree(std::span<const geom::Point> pts,
+                                 const mst::Tree& t, int root = -1);
 };
 
 class PlanSession {

@@ -1,17 +1,19 @@
 #include "core/two_antennae.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
-#include <string>
+#include <string_view>
 
 #include "common/assert.hpp"
 #include "common/constants.hpp"
 #include "common/small_vec.hpp"
 #include "core/session.hpp"
 #include "geometry/angle.hpp"
-#include "mst/rooted.hpp"
+#include "mst/tree_view.hpp"
 
 namespace dirant::core {
 namespace {
@@ -22,6 +24,37 @@ using geom::Sector;
 constexpr double kTol = 1e-9;
 
 using dirant::insertion_sort;  // stable, allocation-free (common/small_vec.hpp)
+
+/// Case labels of the induction, one per proof case (mirrored variants of
+/// the degree-5 case A.2 follow their unmirrored label).
+enum class Case : std::uint8_t {
+  kRoot, kLeaf, kDeg2, kDeg3,
+  kDeg4PT2, kDeg4P2T, kDeg4C3C1, kDeg4C1C3, kDeg4Del3T, kDeg4DelT1,
+  kDeg5B42, kDeg5B31, kDeg5BDel, kDeg5BDelMirror,
+  kDeg5AG12, kDeg5AG23, kDeg5AG34, kDeg5A3T, kDeg5A41, kDeg5AT2,
+  kDeg5A2a, kDeg5A2aMirror, kDeg5A2bi, kDeg5A2biMirror,
+  kDeg5A2bii, kDeg5A2biiMirror,
+  kFallback, kReused,
+  kCount
+};
+
+constexpr std::array<std::string_view, static_cast<size_t>(Case::kCount)>
+    kCaseNames = {
+        "root",        "leaf",        "deg2",         "deg3",
+        "deg4-p-t2",   "deg4-p-2t",   "deg4-c3c1",    "deg4-c1c3",
+        "deg4-del-3t", "deg4-del-t1", "deg5-B-42",    "deg5-B-31",
+        "deg5-B-del",  "deg5-B-del~", "deg5-A-g12",   "deg5-A-g23",
+        "deg5-A-g34",  "deg5-A-3t",   "deg5-A-41",    "deg5-A-t2",
+        "deg5-A2a",    "deg5-A2a~",   "deg5-A2bi",    "deg5-A2bi~",
+        "deg5-A2bii",  "deg5-A2bii~", "fallback",     "reused",
+};
+
+using Tally = CaseTally<Case, kCaseNames.size()>;
+
+/// `label`, or its mirrored variant (the enum value after it).
+constexpr Case mirror_if(Case label, bool mirrored) {
+  return static_cast<Case>(static_cast<int>(label) + (mirrored ? 1 : 0));
+}
 
 /// A local plan at one vertex: at most two antennae plus sibling
 /// delegations.  Rays are identified by -1 (the target point) and 0..m-1
@@ -34,20 +67,33 @@ class NodePlanner {
   NodePlanner(std::span<const Point> pts, double phi, double R)
       : pts_(pts), phi_(phi), R_(R) {}
 
-  void init(int u, const Point& target, std::span<const int> kids_ccw) {
+  /// Take vertex u with its obligation `target` and its children in
+  /// child-list order, and order the children ccw from the ray u->target
+  /// (the paper's u(1), u(2), ...): a stable insertion sort by ccw offset,
+  /// a child on the ray last — the order mst::children_ccw_from gives.
+  void init(int u, const Point& target, std::span<const int> kids) {
     u_ = u;
     target_ = target;
-    kids_.clear();
-    for (int v : kids_ccw) kids_.push_back(v);
-    const int m = kids_.size();
-    ref_ = geom::angle_to(pts_[u_], target_);
+    const int m = static_cast<int>(kids.size());
+    kids_.resize(m);
     order_off_.resize(m);
     abs_angle_.resize(m);
+    ref_ = geom::angle_to(pts_[u_], target_);
     for (int i = 0; i < m; ++i) {
-      abs_angle_[i] = geom::angle_to(pts_[u_], pts_[kids_[i]]);
-      double d = geom::ccw_delta(ref_, abs_angle_[i]);
+      const int v = kids[i];
+      const double a = geom::angle_to(pts_[u_], pts_[v]);
+      double d = geom::ccw_delta(ref_, a);
       if (d == 0.0) d = kTwoPi;  // collinear with the target ray sorts last
-      order_off_[i] = d;
+      int j = i;
+      while (j > 0 && order_off_[j - 1] > d) {
+        kids_[j] = kids_[j - 1];
+        abs_angle_[j] = abs_angle_[j - 1];
+        order_off_[j] = order_off_[j - 1];
+        --j;
+      }
+      kids_[j] = v;
+      abs_angle_[j] = a;
+      order_off_[j] = d;
     }
   }
 
@@ -91,7 +137,7 @@ class NodePlanner {
   }
 
   /// Verify the staged plan; on success fill antennas/child_targets/label.
-  bool commit(std::string label) {
+  bool commit(Case label) {
     const int m = child_count();
     if (arcs_.size() + beams_.size() > 2) return false;
 
@@ -156,7 +202,7 @@ class NodePlanner {
     for (const auto& [coverer, covee] : delegations_) {
       child_targets[coverer] = point_of(covee);
     }
-    this->label = std::move(label);
+    this->label = label;
     return true;
   }
 
@@ -179,7 +225,7 @@ class NodePlanner {
   // included (the adaptive probe loop fires it on every failed probe).
   SmallVec<Sector, 4> antennas;
   SmallVec<Point, 5> child_targets;
-  std::string label;  // labels are <= 15 chars (SSO)
+  Case label = Case::kLeaf;
 
  private:
   std::span<const Point> pts_;
@@ -310,7 +356,7 @@ bool NodePlanner::fallback() {
     return false;
   }
   for (const auto& [cov, cee] : assignment) delegate(cov, cee);
-  return commit("fallback");
+  return commit(Case::kFallback);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,7 +368,6 @@ struct Ctx {
   double phi;
   double R;
   bool part1;
-  antenna::Orientation* out;
   CaseStats* stats;
 };
 
@@ -334,14 +379,14 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
   const int m = pl.child_count();
   const double phi = ctx.phi;
 
-  auto try_plan = [&](auto&& stage, std::string label) {
+  auto try_plan = [&](auto&& stage, Case label) {
     pl.reset();
     stage();
-    return pl.commit(std::move(label));
+    return pl.commit(label);
   };
 
   if (m == 0) {
-    return try_plan([&] { pl.beam(-1); }, "leaf");
+    return try_plan([&] { pl.beam(-1); }, Case::kLeaf);
   }
   if (m == 1) {
     return try_plan(
@@ -349,7 +394,7 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
           pl.beam(-1);
           pl.beam(0);
         },
-        "deg2");
+        Case::kDeg2);
   }
 
   if (m == 2) {
@@ -371,7 +416,7 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
                 pl.arc(o.p, o.q);
                 pl.beam(o.beam);
               },
-              "deg3")) {
+              Case::kDeg3)) {
         return true;
       }
     }
@@ -380,15 +425,15 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
     struct Arc1 {
       double width;
       int p, q, beam;
-      const char* label;
+      Case label;
     };
     SmallVec<Arc1, 4> simple;
     if (ctx.part1) {
-      simple.push_back({pl.arc_width(-1, 1), -1, 1, 2, "deg4-p-t2"});
-      simple.push_back({pl.arc_width(1, -1), 1, -1, 0, "deg4-p-2t"});
+      simple.push_back({pl.arc_width(-1, 1), -1, 1, 2, Case::kDeg4PT2});
+      simple.push_back({pl.arc_width(1, -1), 1, -1, 0, Case::kDeg4P2T});
     }
-    simple.push_back({pl.arc_width(2, 0), 2, 0, 1, "deg4-c3c1"});
-    simple.push_back({pl.arc_width(0, 2), 0, 2, -1, "deg4-c1c3"});
+    simple.push_back({pl.arc_width(2, 0), 2, 0, 1, Case::kDeg4C3C1});
+    simple.push_back({pl.arc_width(0, 2), 0, 2, -1, Case::kDeg4C1C3});
     // Proof order: feasible simple covers first (part 2 checks the two
     // three-ray arcs; part 1 one of the two target-anchored arcs always
     // fits within pi <= phi).
@@ -413,11 +458,11 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
       double width;
       int p, q, beam;
       int cov_a, cov_b;  // candidate coverers for c2 (slot 1)
-      const char* label;
+      Case label;
     };
     std::array<Del, 2> dels = {{
-        {pl.arc_width(2, -1), 2, -1, 0, 0, 2, "deg4-del-3t"},
-        {pl.arc_width(-1, 0), -1, 0, 2, 0, 2, "deg4-del-t1"},
+        {pl.arc_width(2, -1), 2, -1, 0, 0, 2, Case::kDeg4Del3T},
+        {pl.arc_width(-1, 0), -1, 0, 2, 0, 2, Case::kDeg4DelT1},
     }};
     insertion_sort(dels.begin(), dels.end(),
                    [](const Del& a, const Del& b) { return a.width < b.width; });
@@ -450,7 +495,7 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
     const bool in_a =
         th_par >= pl.off(3) - kTol || th_par <= pl.off(0) + kTol;
 
-    auto try_simple = [&](int p, int q, int beam, const char* label) {
+    auto try_simple = [&](int p, int q, int beam, Case label) {
       if (pl.arc_width(p, q) > phi + kTol) return false;
       return try_plan(
           [&] {
@@ -460,7 +505,7 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
           label);
     };
     auto try_delegate1 = [&](int p, int q, int beam, int covee, int cov_a,
-                             int cov_b, const char* label) {
+                             int cov_b, Case label) {
       if (pl.arc_width(p, q) > phi + kTol) return false;
       const int first =
           pl.chord(cov_a, covee) <= pl.chord(cov_b, covee) ? cov_a : cov_b;
@@ -484,16 +529,18 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
       // rays (Fact 2 bounds it by pi).
       const bool b42_first = pl.arc_width(3, 1) <= pl.arc_width(2, 0);
       if (b42_first) {
-        if (try_simple(3, 1, 2, "deg5-B-42")) return true;
-        if (try_simple(2, 0, 1, "deg5-B-31")) return true;
+        if (try_simple(3, 1, 2, Case::kDeg5B42)) return true;
+        if (try_simple(2, 0, 1, Case::kDeg5B31)) return true;
       } else {
-        if (try_simple(2, 0, 1, "deg5-B-31")) return true;
-        if (try_simple(3, 1, 2, "deg5-B-42")) return true;
+        if (try_simple(2, 0, 1, Case::kDeg5B31)) return true;
+        if (try_simple(3, 1, 2, Case::kDeg5B42)) return true;
       }
       // Part 2 fallback within case B: cover [c4 -> c1], beam one middle
       // child, delegate the other.
-      if (try_delegate1(3, 0, 1, 2, 1, 3, "deg5-B-del")) return true;
-      if (try_delegate1(3, 0, 2, 1, 0, 2, "deg5-B-del~")) return true;
+      if (try_delegate1(3, 0, 1, 2, 1, 3, Case::kDeg5BDel)) return true;
+      if (try_delegate1(3, 0, 2, 1, 0, 2, Case::kDeg5BDelMirror)) {
+        return true;
+      }
     } else {
       if (ctx.part1) {
         // Part 1 case A: arc [c4 -> c1] (<= pi), beam + delegation across
@@ -501,12 +548,12 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
         struct G {
           double chord;
           int coverer, covee, beam;
-          const char* label;
+          Case label;
         };
         std::array<G, 3> gaps = {{
-            {pl.chord(0, 1), 0, 1, 2, "deg5-A-g12"},
-            {pl.chord(1, 2), 1, 2, 1, "deg5-A-g23"},
-            {pl.chord(3, 2), 3, 2, 1, "deg5-A-g34"},
+            {pl.chord(0, 1), 0, 1, 2, Case::kDeg5AG12},
+            {pl.chord(1, 2), 1, 2, 1, Case::kDeg5AG23},
+            {pl.chord(3, 2), 3, 2, 1, Case::kDeg5AG34},
         }};
         std::sort(gaps.begin(), gaps.end(),
                   [](const G& a, const G& b) { return a.chord < b.chord; });
@@ -527,12 +574,12 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
       struct Opt {
         double width;
         int p, q, beam, covee, cov_a, cov_b;
-        const char* label;
+        Case label;
       };
       std::array<Opt, 3> opts = {{
-          {pl.arc_width(2, -1), 2, -1, 0, 1, 0, 2, "deg5-A-3t"},
-          {pl.arc_width(3, 0), 3, 0, 2, 1, 0, 2, "deg5-A-41"},
-          {pl.arc_width(-1, 1), -1, 1, 3, 2, 1, 3, "deg5-A-t2"},
+          {pl.arc_width(2, -1), 2, -1, 0, 1, 0, 2, Case::kDeg5A3T},
+          {pl.arc_width(3, 0), 3, 0, 2, 1, 0, 2, Case::kDeg5A41},
+          {pl.arc_width(-1, 1), -1, 1, 3, 2, 1, 3, Case::kDeg5AT2},
       }};
       insertion_sort(opts.begin(), opts.end(),
                      [](const Opt& a, const Opt& b) {
@@ -562,7 +609,6 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
             pl.arc(3, -1);
           }
         };
-        const char* suffix = mirrored ? "~" : "";
         if (fb4 >= phi / 2.0 - kTol) {  // case 2(a)
           if (try_plan(
                   [&] {
@@ -571,7 +617,7 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
                     pl.delegate(real(0), real(1));
                     pl.delegate(real(3), real(2));
                   },
-                  std::string("deg5-A2a") + suffix)) {
+                  mirror_if(Case::kDeg5A2a, mirrored))) {
             return true;
           }
         }
@@ -589,7 +635,7 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
                     }
                     pl.delegate(real(1), real(0));
                   },
-                  std::string("deg5-A2bi") + suffix)) {
+                  mirror_if(Case::kDeg5A2bi, mirrored))) {
             return true;
           }
         }
@@ -601,7 +647,7 @@ bool plan_vertex(Ctx& ctx, NodePlanner& pl, int u) {
                   pl.delegate(real(0), real(1));
                   pl.delegate(real(3), real(2));
                 },
-                std::string("deg5-A2bii") + suffix)) {
+                mirror_if(Case::kDeg5A2bii, mirrored))) {
           return true;
         }
       }
@@ -624,15 +670,17 @@ double bound_factor_impl(double phi);
 
 /// Run the full rooted construction with an explicit radius cap
 /// (`radius_cap` < 0 selects the paper bound).  Returns false if some vertex
-/// admits no feasible plan under the cap.
+/// admits no feasible plan under the cap.  Traverses the session's tree
+/// view (preorder ids, contiguous points) and writes each vertex's sectors
+/// at its input id.
 bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
                      double phi, double radius_cap, OrienterScratch& scratch,
                      Result& res) {
-  tree.degrees_into(scratch.degrees);
-  int max_deg = 0;
-  for (int d : scratch.degrees) max_deg = std::max(max_deg, d);
-  DIRANT_ASSERT_MSG(max_deg <= 5, "theorem 3 needs a degree-5 MST");
   const int n = static_cast<int>(pts.size());
+  const auto& view = scratch.tree;
+  if (n >= 1) scratch.root_tree(pts, tree);
+  DIRANT_ASSERT_MSG(n < 1 || scratch.adjacency.max_degree() <= 5,
+                    "theorem 3 needs a degree-5 MST");
   reset_result(res, n, /*reserve_per_node=*/2,
                phi >= kPi ? Algorithm::kTwoPart1 : Algorithm::kTwoPart2,
                bound_factor_impl(phi), tree.lmax());
@@ -643,37 +691,42 @@ bool detailed_orient(std::span<const Point> pts, const mst::Tree& tree,
           ? radius_cap * (1.0 + kRadiusRelTol) + kRadiusAbsTol
           : res.bound_factor * res.lmax * (1.0 + kRadiusRelTol) +
                 kRadiusAbsTol;
-  scratch.rooted.rebuild_at_leaf(tree);
-  const auto& rt = scratch.rooted;
-  Ctx ctx{pts,        rt.parent, phi, R, phi >= kPi, &res.orientation,
-          &res.cases};
+  const auto vpts = view.points();
+  Ctx ctx{vpts, view.parents(), phi, R, phi >= kPi, &res.cases};
+  Tally tally{kCaseNames};
+  auto& rows = scratch.rows;
+  rows.reset(n, /*stride=*/2);
 
   // Root (a leaf): one beam to its only child; the child covers the root.
-  const int root = rt.root;
-  DIRANT_ASSERT(rt.children[root].size() == 1);
-  const int first = rt.children[root][0];
-  res.orientation.add(root, geom::beam_to(pts[root], pts[first]));
-  res.cases.bump("root");
+  const int root = view.root();
+  DIRANT_ASSERT(view.children(root).size() == 1);
+  const int first = view.children(root)[0];
+  rows.add(root, geom::beam_to(vpts[root], vpts[first]));
+  tally.bump(Case::kRoot);
 
   auto& work = scratch.work;
   work.clear();
-  work.emplace_back(first, pts[root]);
-  NodePlanner pl(pts, phi, R);
-  auto& kids = scratch.kids;  // ccw child buffer, reused across vertices
+  work.emplace_back(first, vpts[root]);
+  NodePlanner pl(vpts, phi, R);
+  bool ok = true;
   while (!work.empty()) {
     const auto [u, target] = work.back();
     work.pop_back();
-    mst::children_ccw_from(pts, rt, u, geom::angle_to(pts[u], target), kids);
-    pl.init(u, target, {kids.data(), kids.size()});
-    if (!plan_vertex(ctx, pl, u)) return false;
-    res.cases.bump(pl.label);
-    for (const auto& s : pl.antennas) res.orientation.add(u, s);
+    pl.init(u, target, view.children(u));
+    if (!plan_vertex(ctx, pl, u)) {
+      ok = false;
+      break;
+    }
+    tally.bump(pl.label);
+    for (const auto& s : pl.antennas) rows.add(u, s);
     for (int slot = 0; slot < pl.child_count(); ++slot) {
       work.emplace_back(pl.kid(slot), pl.child_targets[slot]);
     }
   }
+  rows.flush(view, res.orientation);
+  tally.flush(res.cases);
   res.measured_radius = res.orientation.max_radius();
-  return true;
+  return ok;
 }
 
 }  // namespace
@@ -709,11 +762,11 @@ void orient_two_antennae_incremental(
     std::span<const int> orig_of, std::span<const int> comp_of,
     std::span<const char> changed_pos, const antenna::Orientation& prev,
     Result& res) {
-  tree.degrees_into(scratch.degrees);
-  int max_deg = 0;
-  for (int d : scratch.degrees) max_deg = std::max(max_deg, d);
-  DIRANT_ASSERT_MSG(max_deg <= 5, "theorem 3 needs a degree-5 MST");
   const int n = static_cast<int>(pts.size());
+  const auto& view = scratch.tree;
+  if (n >= 1) scratch.root_tree(pts, tree);
+  DIRANT_ASSERT_MSG(n < 1 || scratch.adjacency.max_degree() <= 5,
+                    "theorem 3 needs a degree-5 MST");
   reset_result(res, n, /*reserve_per_node=*/2,
                phi >= kPi ? Algorithm::kTwoPart1 : Algorithm::kTwoPart2,
                bound_factor_impl(phi), tree.lmax());
@@ -726,56 +779,60 @@ void orient_two_antennae_incremental(
   }
   const double R =
       res.bound_factor * res.lmax * (1.0 + kRadiusRelTol) + kRadiusAbsTol;
-  scratch.rooted.rebuild_at_leaf(tree);
-  const auto& rt = scratch.rooted;
-  Ctx ctx{pts,        rt.parent, phi, R, phi >= kPi, &res.orientation,
-          &res.cases};
+  // The traversal runs in view ids; `cid` maps to compact ids (the Result's
+  // rows, `mem.planned`) and `oid` on to original ids (the records).
+  const auto vpts = view.points();
+  const auto cid = [&](int v) { return view.input_id(v); };
+  const auto oid = [&](int v) { return orig_of[view.input_id(v)]; };
+  Ctx ctx{vpts, view.parents(), phi, R, phi >= kPi, &res.cases};
+  Tally tally{kCaseNames};
 
-  const int root = rt.root;
-  DIRANT_ASSERT(rt.children[root].size() == 1);
-  const int root_orig = orig_of[root];
+  const int root = view.root();
+  DIRANT_ASSERT(view.children(root).size() == 1);
+  const int root_orig = oid(root);
   // Every plan depends on (phi, R) and the traversal depends on the rooting,
   // so a change in any global gate dirties every record at once.
   const bool all_dirty = !mem.valid || mem.phi != phi || mem.radius != R ||
                          mem.root_orig != root_orig;
 
-  const int first = rt.children[root][0];
-  res.orientation.add(root, geom::beam_to(pts[root], pts[first]));
-  res.cases.bump("root");
-  mem.planned.push_back(root);  // re-emitted every run, so always checkable
+  const int first = view.children(root)[0];
+  res.orientation.add(cid(root), geom::beam_to(vpts[root], vpts[first]));
+  tally.bump(Case::kRoot);
+  mem.planned.push_back(cid(root));  // re-emitted every run, so checkable
   // The warm orienter re-hangs the recorded tree directly, so the root's
   // record must exist too (the traversal below never visits the root).
   {
     TwoAntennaeMemory::Node& rn = mem.nodes[root_orig];
     rn.parent = -1;
-    rn.target = pts[root];
+    rn.target = vpts[root];
     rn.nkids = 1;
-    rn.kids[0] = orig_of[first];
-    rn.kid_targets[0] = pts[root];
+    rn.kids[0] = oid(first);
+    rn.kid_targets[0] = vpts[root];
   }
 
   auto& work = scratch.work;
   work.clear();
-  work.emplace_back(first, pts[root]);
-  NodePlanner pl(pts, phi, R);
-  auto& kids = scratch.kids;
+  work.emplace_back(first, vpts[root]);
+  NodePlanner pl(vpts, phi, R);
   while (!work.empty()) {
     const auto [u, target] = work.back();
     work.pop_back();
-    const int uo = orig_of[u];
+    const int uc = cid(u);
+    const int uo = orig_of[uc];
     TwoAntennaeMemory::Node& nm = mem.nodes[uo];
+    const auto children = view.children(u);
     // Clean iff every input plan_vertex reads is unchanged: same parent
     // (identity AND position — the degree-5 split reads it), same incoming
     // target bitwise, same child set with unmoved positions, own position
     // unmoved.  Equal ccw inputs reproduce the recorded ccw child order.
     bool clean = !all_dirty && !changed_pos[uo] && nm.parent >= 0 &&
-                 orig_of[rt.parent[u]] == nm.parent &&
+                 oid(view.parent(u)) == nm.parent &&
                  !changed_pos[nm.parent] && nm.target.x == target.x &&
                  nm.target.y == target.y &&
-                 static_cast<int>(rt.children[u].size()) == nm.nkids;
+                 static_cast<int>(children.size()) == nm.nkids;
     if (clean) {
-      for (int c : rt.children[u]) {
-        const int co = orig_of[c];
+      for (int c : children) {
+        const int co = oid(c);
         bool known = !changed_pos[co];
         if (known) {
           known = false;
@@ -796,29 +853,30 @@ void orient_two_antennae_incremental(
       // Identical inputs: the deterministic planner would re-derive the
       // identical plan — copy the snapshot row and hand the recorded
       // obligations to the children in their recorded ccw order.
-      res.orientation.copy_node(u, prev, uo);
-      res.cases.bump("reused");
+      res.orientation.copy_node(uc, prev, uo);
+      tally.bump(Case::kReused);
       for (int i = 0; i < nm.nkids; ++i) {
-        work.emplace_back(comp_of[nm.kids[i]], nm.kid_targets[i]);
+        work.emplace_back(view.view_id(comp_of[nm.kids[i]]),
+                          nm.kid_targets[i]);
       }
       continue;
     }
-    mst::children_ccw_from(pts, rt, u, geom::angle_to(pts[u], target), kids);
-    pl.init(u, target, {kids.data(), kids.size()});
+    pl.init(u, target, children);
     const bool ok = plan_vertex(ctx, pl, u);
     DIRANT_ASSERT_MSG(ok, "Theorem 3 failed at its own radius bound");
-    res.cases.bump(pl.label);
-    for (const auto& s : pl.antennas) res.orientation.add(u, s);
-    nm.parent = orig_of[rt.parent[u]];
+    tally.bump(pl.label);
+    for (const auto& s : pl.antennas) res.orientation.add(uc, s);
+    nm.parent = oid(view.parent(u));
     nm.target = target;
     nm.nkids = pl.child_count();
     for (int slot = 0; slot < pl.child_count(); ++slot) {
-      nm.kids[slot] = orig_of[pl.kid(slot)];
+      nm.kids[slot] = oid(pl.kid(slot));
       nm.kid_targets[slot] = pl.child_targets[slot];
       work.emplace_back(pl.kid(slot), pl.child_targets[slot]);
     }
-    mem.planned.push_back(u);
+    mem.planned.push_back(uc);
   }
+  tally.flush(res.cases);
   res.measured_radius = res.orientation.max_radius();
   std::sort(mem.planned.begin(), mem.planned.end());
   mem.member.assign(changed_pos.size(), 0);
@@ -1041,8 +1099,9 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
   mem.planned.clear();
   Node& rn = nodes[root_o];
   if (rn.parent != -1 || rn.nkids != 1) return tear();
+  Tally tally{kCaseNames};
   res.orientation.add(root, geom::beam_to(pos[root_o], pos[rn.kids[0]]));
-  res.cases.bump("root");
+  tally.bump(Case::kRoot);
   rn.target = pos[root_o];
   rn.kid_targets[0] = pos[root_o];
   mem.planned.push_back(root);
@@ -1063,8 +1122,7 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
 
   auto& ph = scratch.parent_hint;
   if (static_cast<int>(ph.size()) < n_orig) ph.resize(n_orig);
-  Ctx ctx{pos, ph,        phi, R, phi >= kPi, &res.orientation,
-          &res.cases};
+  Ctx ctx{pos, ph, phi, R, phi >= kPi, &res.cases};
   NodePlanner pl(pos, phi, R);
   int kid_buf[5];
   while (!work.empty() || !down.empty()) {
@@ -1087,11 +1145,11 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
     work.pop_back();
     Node& nm = nodes[u];
     const int m = nm.nkids;
-    // Reproduce the fresh ccw child order: adjacency lists list incident
+    // Reproduce the fresh child-list order: adjacency lists list incident
     // edges in the tree's canonical (d2, min, max) edge order (compact ids
     // are a monotone relabeling of original ids, so the key compares
-    // identically in either space), and children_ccw_from then sorts them
-    // stably by ccw offset with collinear-with-target last.
+    // identically in either space); init then sorts them stably by ccw
+    // offset with collinear-with-target last, as in the fresh traversal.
     for (int i = 0; i < m; ++i) {
       const int k = nm.kids[i];
       const double dk = geom::dist2(pos[u], pos[k]);
@@ -1110,28 +1168,11 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
       }
       kid_buf[j] = k;
     }
-    {
-      const double ref = geom::angle_to(pos[u], target);
-      double offs[5];
-      for (int i = 0; i < m; ++i) {
-        const int k = kid_buf[i];
-        double d = geom::ccw_delta(ref, geom::angle_to(pos[u], pos[k]));
-        if (d == 0.0) d = kTwoPi;  // on the target ray: sorts last
-        int j = i;
-        while (j > 0 && offs[j - 1] > d) {
-          kid_buf[j] = kid_buf[j - 1];
-          offs[j] = offs[j - 1];
-          --j;
-        }
-        kid_buf[j] = k;
-        offs[j] = d;
-      }
-    }
     ph[u] = nm.parent;
     pl.init(u, target, {kid_buf, static_cast<size_t>(m)});
     const bool ok = plan_vertex(ctx, pl, u);
     DIRANT_ASSERT_MSG(ok, "Theorem 3 failed at its own radius bound");
-    res.cases.bump(pl.label);
+    tally.bump(pl.label);
     const int uc = comp_of[u];
     for (const auto& s : pl.antennas) res.orientation.add(uc, s);
     mem.planned.push_back(uc);
@@ -1161,10 +1202,9 @@ bool orient_two_antennae_warm(std::span<const Point> pts,
     }
     res.orientation.copy_node(c, prev, orig_of[c]);
   }
-  if (const int reused = n - static_cast<int>(mem.planned.size());
-      reused > 0) {
-    res.cases.counts["reused"] += reused;
-  }
+  tally.counts[static_cast<size_t>(Case::kReused)] +=
+      n - static_cast<int>(mem.planned.size());
+  tally.flush(res.cases);
   res.measured_radius = res.orientation.max_radius();
   mem.last_warm = true;
   return true;

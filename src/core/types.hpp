@@ -2,6 +2,8 @@
 /// \file types.hpp
 /// Shared types for the orientation algorithms (the paper's contribution).
 
+#include <array>
+#include <cstddef>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -84,6 +86,24 @@ struct CaseStats {
   void reset() {
     counts.clear();
     fallback_plans = 0;
+  }
+};
+
+/// Case counter for the orienters' per-node loops.  Labels are a small enum
+/// (or index) into a static name table; the loop counts them in a flat
+/// array and `flush` adds the labels that occurred into CaseStats once per
+/// run, so the CaseStats it leaves equal one `bump(name)` per node without
+/// a string lookup per node.
+template <class Label, std::size_t N>
+struct CaseTally {
+  const std::array<std::string_view, N>& names;
+  std::array<int, N> counts{};
+
+  void bump(Label label) { ++counts[static_cast<std::size_t>(label)]; }
+  void flush(CaseStats& stats) const {
+    for (std::size_t i = 0; i < N; ++i) {
+      if (counts[i] > 0) stats.counts[names[i]] += counts[i];
+    }
   }
 };
 

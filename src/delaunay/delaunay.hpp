@@ -34,6 +34,14 @@ struct Triangulation {
 /// stable size allocates nothing — the property core::PlanSession builds on.
 /// The duplicate-merge fallback (exact duplicate points in the input) is the
 /// one path that still allocates; it only runs on degenerate inputs.
+///
+/// Memory layout: the point copy is stored in Hilbert insertion order, so
+/// consecutive insertions touch neighbouring points and triangles, and the
+/// vertex ids inside the soup are Hilbert ranks; `emit` maps them back to
+/// the caller's ids.  A cavity's dead triangle slots are reused by the
+/// triangles that refill it, so the soup holds ~2n records rather than one
+/// per triangle ever created.  Neither changes the triangulation: every
+/// predicate reads the same coordinates in the same vertex order.
 class Triangulator {
  public:
   /// Triangulate `pts` into `out`, recycling `out`'s vectors.  Semantics are
@@ -42,26 +50,35 @@ class Triangulator {
 
  private:
   struct Tri {
-    std::array<int, 3> v;   // ccw vertices
+    std::array<int, 3> v;   // ccw vertices (Hilbert ranks)
     std::array<int, 3> nb;  // nb[i]: triangle across the edge opposite v[i]
+    std::uint32_t mark = 0;  // == epoch_: in the current cavity
     bool alive = true;
-  };
+  };  // 32 bytes: two records per cache line
   struct BEdge {
     int a, b, outside;
   };
 
-  bool run();  // build over pts_; false on unhandled degeneracy
+  /// Copy `in` into pts_ in Hilbert order (ids_ records each point's index
+  /// in `in`) and build over it; false on unhandled degeneracy.
+  /// Sorts order_ (key << 32 | index) by key, ties by index.
+  void sort_order();
+  bool run(std::span<const geom::Point> in);
   void emit(Triangulation& out) const;  // append real triangles + edges
-  int num_real() const { return static_cast<int>(pts_.size()) - 3; }
-  void make_super_triangle();
+  int num_real() const { return static_cast<int>(ids_.size()); }
+  void make_super_triangle(double min_x, double min_y, double max_x,
+                           double max_y);
   bool in_circumcircle(int ti, const geom::Point& q) const;
   int locate(const geom::Point& p) const;
   bool insert(int pi);
+  int new_tri_slot();
 
-  std::vector<geom::Point> pts_;
+  std::vector<geom::Point> pts_;  ///< Hilbert order, then 3 super vertices
+  std::vector<int> ids_;          ///< pts_ slot -> id reported by emit
   std::vector<Tri> tris_;
-  std::vector<std::uint64_t> order_;
-  std::vector<std::uint32_t> cavity_mark_;
+  std::vector<int> free_;    ///< dead slots awaiting reuse
+  std::vector<int> fan_at_;  ///< vertex -> fan triangle (insert's linkage)
+  std::vector<std::uint64_t> order_, order_tmp_;
   std::uint32_t epoch_ = 0;
   std::vector<int> cavity_, stack_, created_;
   std::vector<BEdge> boundary_;

@@ -17,20 +17,6 @@ std::vector<std::vector<int>> Tree::adjacency() const {
   return adj;
 }
 
-void Tree::adjacency_into(std::vector<std::vector<int>>& adj) const {
-  adj.resize(n);
-  for (auto& list : adj) {
-    list.clear();
-    // EMST degree is <= 6 before repair; pre-reserving keeps warm rebuilds
-    // over different same-size trees allocation-free.
-    if (list.capacity() < 6) list.reserve(6);
-  }
-  for (const auto& e : edges) {
-    adj[e.u].push_back(e.v);
-    adj[e.v].push_back(e.u);
-  }
-}
-
 void Tree::degrees_into(std::vector<int>& deg) const {
   deg.assign(n, 0);
   for (const auto& e : edges) {

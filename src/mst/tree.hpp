@@ -22,13 +22,9 @@ struct Tree {
   int n = 0;
   std::vector<TreeEdge> edges;
 
-  /// Neighbour lists (size n).  O(n) to build.
+  /// Neighbour lists (size n).  O(n) to build.  Hot loops use the flat
+  /// mst::TreeAdjacency / mst::TreeView (mst/tree_view.hpp) instead.
   std::vector<std::vector<int>> adjacency() const;
-
-  /// Scratch-reusing variant: recycles `adj` and its per-vertex lists
-  /// (reserving a degree-bound's worth of slots each, so warm same-size
-  /// rebuilds never allocate).
-  void adjacency_into(std::vector<std::vector<int>>& adj) const;
 
   /// Scratch-reusing degree count.
   void degrees_into(std::vector<int>& deg) const;

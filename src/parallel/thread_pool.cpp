@@ -45,8 +45,19 @@ void ThreadPool::wait_idle() {
   }
 }
 
+namespace {
+
+constexpr std::uint64_t kClaimIndexMask = 0xffffffffu;
+
+int claim_index(std::uint64_t claim) {
+  return static_cast<int>(claim & kClaimIndexMask);
+}
+
+}  // namespace
+
 void ThreadPool::run_job(void (*fn)(void*, int), void* ctx, int count) {
   if (count <= 0) return;
+  std::uint32_t gen;
   {
     std::lock_guard lock(mu_);
     DIRANT_ASSERT_MSG(!stopping_, "run_job on stopping pool");
@@ -55,13 +66,15 @@ void ThreadPool::run_job(void (*fn)(void*, int), void* ctx, int count) {
     job_ctx_ = ctx;
     job_count_ = count;
     job_remaining_ = count;
-    job_next_.store(0, std::memory_order_relaxed);
+    gen = ++job_gen_;
+    job_claim_.store(static_cast<std::uint64_t>(gen) << 32,
+                     std::memory_order_relaxed);
   }
   cv_task_.notify_all();
   // The calling thread claims indices too: a busy or single-worker pool
   // still makes progress, and the common case finishes without a context
   // switch when the job is smaller than the worker count.
-  const int mine = drain_job(fn, ctx, count);
+  const int mine = drain_job(fn, ctx, count, gen);
   std::unique_lock lock(mu_);
   if ((job_remaining_ -= mine) > 0) {
     cv_idle_.wait(lock, [this] { return job_remaining_ == 0; });
@@ -76,11 +89,23 @@ void ThreadPool::run_job(void (*fn)(void*, int), void* ctx, int count) {
   }
 }
 
-int ThreadPool::drain_job(void (*fn)(void*, int), void* ctx, int count) {
+void ThreadPool::set_claim_stall_for_testing(void (*hook)()) {
+  std::lock_guard lock(mu_);
+  claim_stall_ = hook;
+}
+
+int ThreadPool::drain_job(void (*fn)(void*, int), void* ctx, int count,
+                          std::uint32_t gen) {
   int done = 0;
+  std::uint64_t claim = job_claim_.load(std::memory_order_relaxed);
   while (true) {
-    const int i = job_next_.fetch_add(1, std::memory_order_relaxed);
+    if (static_cast<std::uint32_t>(claim >> 32) != gen) return done;
+    const int i = claim_index(claim);
     if (i >= count) return done;
+    if (!job_claim_.compare_exchange_weak(claim, claim + 1,
+                                          std::memory_order_relaxed)) {
+      continue;  // `claim` now holds the current value
+    }
     try {
       fn(ctx, i);
     } catch (...) {
@@ -88,6 +113,7 @@ int ThreadPool::drain_job(void (*fn)(void*, int), void* ctx, int count) {
       if (!first_error_) first_error_ = std::current_exception();
     }
     ++done;
+    claim = job_claim_.load(std::memory_order_relaxed);
   }
 }
 
@@ -96,20 +122,26 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock lock(mu_);
-      cv_task_.wait(lock, [this] {
-        return stopping_ || !queue_.empty() ||
-               (job_fn_ != nullptr &&
-                job_next_.load(std::memory_order_relaxed) < job_count_);
+      const auto job_open = [this] {
+        return job_fn_ != nullptr &&
+               claim_index(job_claim_.load(std::memory_order_relaxed)) <
+                   job_count_;
+      };
+      cv_task_.wait(lock, [&] {
+        return stopping_ || !queue_.empty() || job_open();
       });
-      if (job_fn_ != nullptr &&
-          job_next_.load(std::memory_order_relaxed) < job_count_) {
-        // Snapshot the job under the lock (the slot is stable until
-        // job_remaining_ hits zero, which needs this worker's report).
+      if (job_open()) {
+        // Copy the job under the lock; the claims below check that it is
+        // still the current one.  While it is, job_remaining_ cannot reach
+        // zero before this worker reports, so the copy stays live.
         auto* fn = job_fn_;
         void* ctx = job_ctx_;
         const int count = job_count_;
+        const std::uint32_t gen = job_gen_;
+        auto* stall = claim_stall_;
         lock.unlock();
-        const int done = drain_job(fn, ctx, count);
+        if (stall != nullptr) stall();
+        const int done = drain_job(fn, ctx, count, gen);
         lock.lock();
         if (done > 0 && (job_remaining_ -= done) == 0) {
           cv_idle_.notify_all();

@@ -51,11 +51,19 @@ class ThreadPool {
   /// job bodies must not call run_job/submit/wait_idle on the same pool.
   void run_job(void (*fn)(void*, int), void* ctx, int count);
 
+  /// Test seam: a worker calls `hook` after it has copied a job's
+  /// description and released the lock, just before its first claim — the
+  /// window in which that job can finish and the next one be installed.
+  /// Tests use it to stall a worker there; null (the default) skips it.
+  void set_claim_stall_for_testing(void (*hook)());
+
  private:
   void worker_loop();
-  /// Claim-and-run loop shared by workers and the run_job caller.  Returns
-  /// the number of indices this thread completed.
-  int drain_job(void (*fn)(void*, int), void* ctx, int count);
+  /// Claim-and-run loop shared by workers and the run_job caller.  Claims
+  /// succeed only while the job generation is still `gen`.  Returns the
+  /// number of indices this thread completed.
+  int drain_job(void (*fn)(void*, int), void* ctx, int count,
+                std::uint32_t gen);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
@@ -66,14 +74,20 @@ class ThreadPool {
   bool stopping_ = false;
   std::exception_ptr first_error_;
 
-  // Fixed run_job slot.  fn/ctx/count are written under mu_ before workers
-  // are woken and cleared only after job_remaining_ hits zero, so a worker
-  // that snapshots them under mu_ always sees a live job description.
+  // Fixed run_job slot.  fn/ctx/count/gen are written under mu_ before
+  // workers are woken.  A worker copies them under mu_ but claims after
+  // unlocking, so by its first claim that job may be over and the next one
+  // installed.  Every claim therefore goes through `job_claim_`, which
+  // packs (generation << 32 | next index): the CAS fails once the
+  // generation moves on, so a stale copy never runs another job's indices
+  // nor reports them against that job's `job_remaining_`.
   void (*job_fn_)(void*, int) = nullptr;
   void* job_ctx_ = nullptr;
   int job_count_ = 0;
+  std::uint32_t job_gen_ = 0;      ///< current job's generation (under mu_)
   int job_remaining_ = 0;          ///< indices not yet completed (under mu_)
-  std::atomic<int> job_next_{0};   ///< next unclaimed index
+  std::atomic<std::uint64_t> job_claim_{0};  ///< (generation, next index)
+  void (*claim_stall_)() = nullptr;          ///< test seam (under mu_)
 };
 
 /// Shared process-wide pool (lazily constructed).

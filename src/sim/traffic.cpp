@@ -109,7 +109,7 @@ void TrafficEngine::bind(std::span<const geom::Point> pts,
   tree_ = tree;
   n_ = static_cast<int>(pts.size());
   graph_ = &audit_.load(pts, o);
-  if (tree_) tree_->adjacency_into(tree_adj_);
+  if (tree_) tree_adj_.build(*tree_);
 }
 
 void TrafficEngine::bind_graph(const graph::Digraph& g,
@@ -340,7 +340,7 @@ void TrafficEngine::rebuild_routes() {
       dist_[dst] = 0;
       for (size_t h = 0; h < q.size(); ++h) {
         const int x = q[h];
-        for (int y : tree_adj_[x]) {
+        for (int y : tree_adj_.neighbors(x)) {
           if (dist_[y] >= 0) continue;
           dist_[y] = dist_[x] + 1;
           next[y].v = x;

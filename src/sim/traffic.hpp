@@ -78,6 +78,7 @@
 #include "graph/digraph.hpp"
 #include "graph/traversal.hpp"
 #include "mst/tree.hpp"
+#include "mst/tree_view.hpp"
 #include "sim/audit.hpp"
 #include "sim/churn.hpp"
 #include "sim/energy.hpp"
@@ -409,7 +410,7 @@ class TrafficEngine {
   std::vector<Hop> tree_memo_, greedy_memo_;
   std::vector<int> dist_;          ///< BFS scratch
   graph::BfsScratch bfs_;
-  std::vector<std::vector<int>> tree_adj_;  ///< bound recorded tree
+  mst::TreeAdjacency tree_adj_;  ///< bound recorded tree
 
   // Link loss state (Gilbert-Elliott, per CSR edge).
   std::vector<char> link_state_;

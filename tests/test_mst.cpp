@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "geometry/generators.hpp"
@@ -12,7 +13,7 @@
 #include "mst/emst.hpp"
 #include "mst/engine.hpp"
 #include "mst/facts.hpp"
-#include "mst/rooted.hpp"
+#include "mst/tree_view.hpp"
 
 namespace geom = dirant::geom;
 namespace mst = dirant::mst;
@@ -223,27 +224,63 @@ TEST(Degree5, TighterBoundsAlsoConverge) {
   }
 }
 
-TEST(RootedTree, ParentChildConsistency) {
+TEST(TreeAdjacency, MatchesNeighbourListsInEdgeOrder) {
+  geom::Rng rng(3);
+  const auto pts = geom::uniform_square(80, 7.0, rng);
+  const auto t = mst::EmstEngine::shared().degree5(pts);
+  mst::TreeAdjacency adj;
+  adj.build(t);
+  const auto lists = t.adjacency();
+  ASSERT_EQ(adj.size(), t.n);
+  int max_deg = 0;
+  for (int u = 0; u < t.n; ++u) {
+    const auto nb = adj.neighbors(u);
+    EXPECT_EQ(std::vector<int>(nb.begin(), nb.end()), lists[u]) << u;
+    EXPECT_EQ(adj.degree(u), static_cast<int>(lists[u].size()));
+    max_deg = std::max(max_deg, adj.degree(u));
+  }
+  EXPECT_EQ(adj.max_degree(), max_deg);
+}
+
+TEST(TreeView, PreorderRelabelKeepsListOrder) {
   geom::Rng rng(1);
   const auto pts = geom::uniform_square(50, 7.0, rng);
   const auto t = mst::prim_emst(pts);
-  const auto rt = mst::RootedTree::rooted_at_leaf(t);
-  EXPECT_EQ(rt.parent[rt.root], -1);
-  EXPECT_EQ(static_cast<int>(rt.preorder.size()), t.n);
-  EXPECT_EQ(rt.preorder.front(), rt.root);
+  mst::TreeAdjacency adj;
+  adj.build(t);
+  mst::TreeView view;
+  view.rebuild_at_leaf(pts, adj);
+  ASSERT_EQ(view.size(), t.n);
+  // Rooted at the lowest-index leaf, which gets view id 0.
+  const auto deg = t.degrees();
+  const int leaf = static_cast<int>(
+      std::find(deg.begin(), deg.end(), 1) - deg.begin());
+  EXPECT_EQ(view.input_id(view.root()), leaf);
+  EXPECT_EQ(view.parent(view.root()), -1);
+  const auto lists = t.adjacency();
   int child_count = 0;
-  for (int u = 0; u < t.n; ++u) {
-    for (int c : rt.children[u]) {
-      EXPECT_EQ(rt.parent[c], u);
-      ++child_count;
+  for (int v = 0; v < view.size(); ++v) {
+    const int u = view.input_id(v);
+    EXPECT_EQ(view.view_id(u), v);
+    EXPECT_EQ(view.points()[v], pts[u]);
+    if (v > 0) {
+      EXPECT_LT(view.parent(v), v);  // preorder: parent first
     }
+    // Children: the neighbour list in the tree's edge order, minus the
+    // parent.
+    std::vector<int> kids;
+    for (int w : lists[u]) {
+      if (view.view_id(w) != view.parent(v)) kids.push_back(view.view_id(w));
+    }
+    const auto ch = view.children(v);
+    EXPECT_EQ(std::vector<int>(ch.begin(), ch.end()), kids);
+    for (int c : ch) EXPECT_EQ(view.parent(c), v);
+    child_count += static_cast<int>(ch.size());
   }
   EXPECT_EQ(child_count, t.n - 1);
-  // Root is a leaf.
-  EXPECT_EQ(t.degrees()[rt.root], 1);
 }
 
-TEST(RootedTree, ChildrenCcwOrderFromReference) {
+TEST(TreeView, ChildrenCcwOrderFromReference) {
   // Node at origin with children at known angles; reference pointing at 0.
   const std::vector<geom::Point> pts = {
       {0, 0}, {1, 1}, {-1, 1}, {-1, -1}, {1, -1}, {10, 0}};
@@ -253,14 +290,18 @@ TEST(RootedTree, ChildrenCcwOrderFromReference) {
     t.edges.push_back({0, v, geom::dist(pts[0], pts[v])});
   }
   t.edges.push_back({0, 5, 10.0});
-  const auto rt = mst::RootedTree::rooted_at(t, 5);
+  mst::TreeAdjacency adj;
+  adj.build(t);
+  mst::TreeView view;
+  view.rebuild(pts, adj, 5);
   // Children of 0 ordered ccw starting from the ray towards vertex 5 (+x).
-  const auto kids = mst::children_ccw_from(pts, rt, 0, 0.0);
+  std::vector<int> kids;
+  mst::children_ccw_from(view, view.view_id(0), 0.0, kids);
   ASSERT_EQ(kids.size(), 4u);
-  EXPECT_EQ(kids[0], 1);  // 45 deg
-  EXPECT_EQ(kids[1], 2);  // 135 deg
-  EXPECT_EQ(kids[2], 3);  // 225 deg
-  EXPECT_EQ(kids[3], 4);  // 315 deg
+  EXPECT_EQ(view.input_id(kids[0]), 1);  // 45 deg
+  EXPECT_EQ(view.input_id(kids[1]), 2);  // 135 deg
+  EXPECT_EQ(view.input_id(kids[2]), 3);  // 225 deg
+  EXPECT_EQ(view.input_id(kids[3]), 4);  // 315 deg
 }
 
 // --- Fact 1 / Fact 2 (Figure 2) -------------------------------------------

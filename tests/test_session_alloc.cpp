@@ -91,6 +91,33 @@ TEST(SessionAllocation, SecondOrientIsAllocationFree) {
   }
 }
 
+// The plan_200k shapes at a size where the Delaunay path, the reused
+// triangle slots, the tree view and the staged rows all carry real load.
+struct ScaleCase {
+  geom::Distribution dist;
+  core::ProblemSpec spec;
+};
+const std::vector<ScaleCase> kScaleCases = {
+    {geom::Distribution::kUniformSquare, {2, kPi}},
+    {geom::Distribution::kUniformSquare, {3, kPi}},
+    {geom::Distribution::kClusters, {2, kPi}},
+    {geom::Distribution::kClusters, {3, kPi}},
+};
+
+TEST(SessionAllocation, SecondOrientAtScaleIsAllocationFree) {
+  for (const auto& c : kScaleCases) {
+    geom::Rng rng(4321 + c.spec.k + 10 * static_cast<int>(c.dist));
+    const auto pts = geom::make_instance(c.dist, 5000, rng);
+    core::PlanSession session;
+    session.orient(pts, c.spec);  // warm-up call
+    const long long allocs =
+        count_allocations([&] { session.orient(pts, c.spec); });
+    EXPECT_EQ(allocs, 0) << "second orient() allocated (n=5000, dist="
+                         << static_cast<int>(c.dist) << ", k=" << c.spec.k
+                         << ")";
+  }
+}
+
 TEST(SessionAllocation, SecondCertifyIsAllocationFree) {
   // n >= 512 selects the grid-accelerated certify path (the brute-force
   // oracle below that threshold allocates by design).  The second
@@ -112,6 +139,24 @@ TEST(SessionAllocation, SecondCertifyIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0) << "warm-session certify allocated";
   EXPECT_TRUE(session.certify(pts, spec).ok());
+}
+
+TEST(SessionAllocation, SecondCertifyAtScaleIsAllocationFree) {
+  for (const auto& c : kScaleCases) {
+    geom::Rng rng(8765 + c.spec.k + 10 * static_cast<int>(c.dist));
+    const auto pts = geom::make_instance(c.dist, 5000, rng);
+    core::PlanSession session;
+    session.orient(pts, c.spec);
+    ASSERT_TRUE(session.certify(pts, c.spec).ok());  // warm-up round
+    const long long allocs = count_allocations([&] {
+      session.orient(pts, c.spec);
+      session.certify(pts, c.spec);
+    });
+    EXPECT_EQ(allocs, 0) << "warm orient+certify allocated (n=5000, dist="
+                         << static_cast<int>(c.dist) << ", k=" << c.spec.k
+                         << ")";
+    EXPECT_TRUE(session.certify(pts, c.spec).ok());
+  }
 }
 
 TEST(SessionAllocation, AdaptiveProbeLoopIsAllocationFree) {
